@@ -31,6 +31,8 @@
 #include <string>
 #include <vector>
 
+#include "core/experiment.hh"
+
 namespace looppoint {
 
 /** The sweep matrix plus the per-job execution knobs. */
@@ -43,7 +45,6 @@ struct CampaignSpec
     std::string outDir;
     std::string storeDir; ///< default: <outDir>/store
     uint32_t jobs = 1;    ///< host workers per job
-    std::string backend = "pool";
     std::string waitPolicy = "passive";
     uint64_t seed = 42;
     bool fullSim = true;
@@ -100,7 +101,17 @@ std::string campaignFingerprint(const CampaignSpec &spec);
 bool validJobResult(const std::string &job_dir);
 
 /**
- * The in-child job body: configure and run the experiment, write
+ * The experiment configuration of one job: the spec's knobs, the
+ * job's sweep point, the shared store, and the per-job region journal
+ * at `<job_dir>/journal`, resumed when it already exists.
+ */
+ExperimentConfig campaignJobConfig(const CampaignJob &job,
+                                   const std::string &job_dir,
+                                   const CampaignSpec &spec);
+
+/**
+ * The in-child job body: configure (campaignJobConfig) and run the
+ * experiment, write
  * `result.json` + `.done`. Returns the run_looppoint exit-code
  * contract (0 ok, 1 degraded, 3 runtime failure, 4 interrupted at a
  * region boundary). A per-job region journal at `<job_dir>/journal`

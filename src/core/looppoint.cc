@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <exception>
-#include <future>
 #include <limits>
 #include <optional>
 
@@ -12,7 +10,6 @@
 #include "analysis/race_detector.hh"
 #include "core/region_exec.hh"
 #include "core/run_journal.hh"
-#include "dist/region_farm.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "dcfg/dcfg.hh"
@@ -431,7 +428,6 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
 
     CheckpointedSimResult out;
     out.jobs = ThreadPool::resolveWorkers(sim_cfg.jobs);
-    out.backend = sim_cfg.backend;
     out.regionMetrics.resize(lp.regions.size());
     out.regionWallSeconds.resize(lp.regions.size(), 0.0);
     out.regionOutcomes.resize(lp.regions.size());
@@ -477,11 +473,10 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
     MulticoreSim base(*prog, execConfig(), sim_cfg,
                       constrained ? &base_arbiter : nullptr);
 
-    // Every region reports here, whichever backend ran it. The pool
-    // backend may invoke this from several worker threads at once:
-    // everything touched is either index-addressed (the out arrays),
-    // atomic (counters), or internally locked (sink, journal) —
-    // exactly the concurrency profile of the historical in-task code.
+    // Every region reports here. The fanout may invoke this from
+    // several pool threads at once: everything touched is either
+    // index-addressed (the out arrays), atomic (counters), or
+    // internally locked (sink, journal).
     const uint32_t max_attempts = 1 + sim_cfg.regionRetries;
     auto on_completion = [&](const RegionCompletion &c) {
         const size_t idx = c.item.index;
@@ -489,11 +484,6 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
         outcome.ok = c.result.ok;
         outcome.attempts = c.result.attempts;
         outcome.error = c.result.error;
-        if (c.killed) {
-            // Simulated host death under the pool backend: the phase
-            // is about to unwind; record the outcome and nothing else.
-            return;
-        }
         if (c.result.ok) {
             const SimMetrics &m = c.result.metrics;
             // idx is unique per region: each completion writes its
@@ -533,67 +523,14 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
             static_cast<uint64_t>(c.wallSeconds * 1e6));
     };
 
-    // Re-warm for a procs retry whose warm state died with its worker:
-    // replay the warming pass from program start with the *exact*
-    // original stop schedule — the fast-forward scheduler's quantum
-    // rotation restarts at each stop, so every stop (not just the
-    // target's) shapes the trajectory — and hand the warm state to
-    // the backend. Bit-identical to the first dispatch by
-    // construction.
-    auto rewarm = [&](uint32_t region_index,
-                      const std::function<void(MulticoreSim &,
-                                               const ReplayArbiter &)>
-                          &use) {
-        ScopedSpan rewarm_span(tracer, "warm.rewarm");
-        rewarm_span.arg("region", static_cast<uint64_t>(region_index));
-        ReplayArbiter arbiter(lp.pinball.log);
-        MulticoreSim sim(*prog, execConfig(), sim_cfg,
-                         constrained ? &arbiter : nullptr);
-        for (size_t j : order) {
-            const LoopPointRegion &r = lp.regions[j];
-            if (r.start.pc != 0 && r.start.count > 0) {
-                BlockId start_block = block_of(r.start.pc);
-                sim.fastForwardUntil(start_block, r.start.count,
-                                     /*warm=*/true);
-            }
-            if (j == region_index)
-                break;
-        }
-        use(sim, arbiter);
-    };
-
     // Checkpoint fanout: the warming pass (necessarily serial — it is
     // one execution) advances in program order; each checkpoint it
-    // reaches goes straight to the execution backend, so region
-    // bodies simulate while warming continues toward the next
-    // checkpoint. The pool backend with jobs == 1 runs each region
-    // inline, which is exactly the old serial schedule. The backend
-    // is destroyed before `out` and the sink on unwind, draining (or
-    // killing) whatever is still in flight.
-    std::unique_ptr<RegionExecBackend> backend;
-    if (sim_cfg.backend == ExecBackendKind::Procs) {
-        // The coordinator must be single-threaded at every fork; the
-        // shared pool (from the analysis phase) has to go first.
-        sharedPool.reset();
-        ProcsBackendOptions procs_opts;
-        procs_opts.workers = out.jobs;
-        procs_opts.workerTimeoutSeconds = sim_cfg.workerTimeoutSeconds;
-        procs_opts.faults = sim_cfg.faults;
-        // Checkpoint-shipping context: workers rebuild their simulator
-        // from the same program + configs the warming pass uses, and
-        // each slot's arena is sized for this configuration's
-        // microarchitectural state image.
-        procs_opts.prog = prog;
-        procs_opts.execCfg = execConfig();
-        procs_opts.simCfg = sim_cfg;
-        procs_opts.syncLog = &lp.pinball.log;
-        procs_opts.arenaBytes = base.microarchStateBytes();
-        backend = std::make_unique<ProcsBackend>(
-            std::move(procs_opts), on_completion, rewarm);
-    } else {
-        ThreadPool *pool = out.jobs > 1 ? poolFor(out.jobs) : nullptr;
-        backend = makePoolBackend(pool, sim_cfg.faults, on_completion);
-    }
+    // reaches goes straight to the fanout, so region bodies simulate
+    // while warming continues toward the next checkpoint. With
+    // jobs == 1 each region runs inline, which is exactly the serial
+    // schedule. The fanout is destroyed before `out` and the sink on
+    // unwind, draining whatever is still in flight.
+    RegionFanout fanout(poolFor(out.jobs), sim_cfg.faults, on_completion);
 
     for (size_t idx : order) {
         // A shutdown request — supervisor SIGTERM/SIGINT, or the
@@ -659,7 +596,7 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
             }
         }
 
-        // Marker blocks resolve on the warming thread so backend
+        // Marker blocks resolve on the warming thread so region
         // execution can never throw a missing-block FatalError.
         const BlockId end_block =
             region.end.pc ? block_of(region.end.pc) : kInvalidBlock;
@@ -686,17 +623,13 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
         item.budget = budget;
         item.maxAttempts = max_attempts;
         item.constrained = constrained;
-        backend->submit(item, base, base_arbiter);
+        fanout.submit(item, base, base_arbiter);
     }
 
-    // Warming is done; drain the backend (the pool backend's producer
-    // thread helps run queued regions instead of idling; the procs
-    // coordinator pumps worker channels and runs death-retries). The
-    // first exception that must escape the phase — the pool backend's
-    // InjectedKill — is rethrown once everything is quiescent.
-    backend->finish();
-    out.workerDeaths = backend->workerDeaths();
-    out.workerRespawns = backend->workerRespawns();
+    // Warming is done; drain the fanout. The first exception that must
+    // escape the phase — InjectedKill — is rethrown once everything is
+    // quiescent.
+    fanout.finish();
 
     // Coverage: the weight fraction of the extrapolation backed by
     // usable regions. All-ok sums are identical, so division yields
@@ -714,14 +647,10 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
     out.diagnostics = sink.take();
     out.phaseWallSeconds = seconds_since(t_phase);
     phase_span.arg("jobs", out.jobs)
-        .arg("backend", execBackendName(out.backend))
-        .arg("workers", out.jobs)
         .arg("regions", static_cast<uint64_t>(lp.regions.size()))
         .arg("journal_hits", static_cast<uint64_t>(out.journalHits))
         .arg("coverage", out.coverage)
-        .arg("phase_wall_seconds", out.phaseWallSeconds)
-        .arg("worker_deaths", out.workerDeaths)
-        .arg("worker_respawns", out.workerRespawns);
+        .arg("phase_wall_seconds", out.phaseWallSeconds);
     // Close now, not at frame exit: the span duration must agree with
     // phaseWallSeconds (lp_report --check enforces 1%).
     phase_span.finish();

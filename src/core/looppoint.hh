@@ -241,13 +241,6 @@ class LoopPointPipeline
         double phaseWallSeconds = 0.0;
         /** Host workers the phase ran with. */
         uint32_t jobs = 1;
-        /** Execution backend the phase ran on (host-side only; region
-         * metrics are bit-identical across backends). */
-        ExecBackendKind backend = ExecBackendKind::Pool;
-        /** Procs backend: worker processes that died mid-region. */
-        uint32_t workerDeaths = 0;
-        /** Procs backend: workers respawned to retry after a death. */
-        uint32_t workerRespawns = 0;
         /** Per-region fate, ordered like regionMetrics. */
         std::vector<RegionOutcome> regionOutcomes;
         /** Regions satisfied from the resume journal. */
@@ -290,24 +283,13 @@ class LoopPointPipeline
      * analysis pass and are what parallel deployment would see.
      *
      * Checkpoint fanout: with sim_cfg.jobs != 1, each snapshot is
-     * handed to the execution backend as soon as it is taken, so
-     * region bodies simulate concurrently while the warming pass
-     * advances toward the next checkpoint (the warming thread joins
-     * the workers once the last checkpoint is out). Region results
-     * are bit-identical for any jobs count: every region simulates
-     * from its own deep snapshot and shares no mutable state.
-     *
-     * Execution backends (sim_cfg.backend; see dist/region_exec.hh):
-     * `pool` fans regions out across the shared in-process thread
-     * pool; `procs` forks a fleet of sim_cfg.jobs persistent worker
-     * processes and ships each region's warm state to one of them as
-     * a checkpoint (microarch state via a shared-memory arena,
-     * functional state plus task/result frames on a CRC32-checked
-     * socketpair protocol). Region metrics are bit-identical across
-     * backends and worker counts; under `procs` a killed or wedged
-     * worker is retried within the region's attempt budget (after
-     * re-warming with the identical stop schedule) instead of
-     * aborting the phase.
+     * handed to the shared thread pool as soon as it is taken (see
+     * core/region_exec.hh), so region bodies simulate concurrently
+     * while the warming pass advances toward the next checkpoint (the
+     * warming thread joins the workers once the last checkpoint is
+     * out). Region results are bit-identical for any jobs count:
+     * every region simulates from its own deep snapshot and shares no
+     * mutable state.
      *
      * Fault tolerance: a region whose simulation throws or diverges
      * (end marker unreachable within the watchdog budget) is retried

@@ -1,7 +1,5 @@
 #include "sim/branch_predictor.hh"
 
-#include <cstring>
-
 namespace looppoint {
 
 PentiumMBranchPredictor::PentiumMBranchPredictor()
@@ -82,36 +80,6 @@ PentiumMBranchPredictor::stateBytes() const
 {
     return bimodal.size() + global.size() + meta.size() +
            loop.size() * sizeof(LoopEntry) + sizeof(uint32_t);
-}
-
-void
-PentiumMBranchPredictor::exportState(void *mem) const
-{
-    auto *p = static_cast<unsigned char *>(mem);
-    std::memcpy(p, bimodal.data(), bimodal.size());
-    p += bimodal.size();
-    std::memcpy(p, global.data(), global.size());
-    p += global.size();
-    std::memcpy(p, meta.data(), meta.size());
-    p += meta.size();
-    std::memcpy(p, loop.data(), loop.size() * sizeof(LoopEntry));
-    p += loop.size() * sizeof(LoopEntry);
-    std::memcpy(p, &history, sizeof(history));
-}
-
-void
-PentiumMBranchPredictor::importState(const void *mem)
-{
-    const auto *p = static_cast<const unsigned char *>(mem);
-    std::memcpy(bimodal.data(), p, bimodal.size());
-    p += bimodal.size();
-    std::memcpy(global.data(), p, global.size());
-    p += global.size();
-    std::memcpy(meta.data(), p, meta.size());
-    p += meta.size();
-    std::memcpy(loop.data(), p, loop.size() * sizeof(LoopEntry));
-    p += loop.size() * sizeof(LoopEntry);
-    std::memcpy(&history, p, sizeof(history));
 }
 
 } // namespace looppoint

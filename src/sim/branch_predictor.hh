@@ -51,14 +51,11 @@ class PentiumMBranchPredictor
     void resetStats() { bpStats = BranchStats{}; }
 
     /**
-     * Flat image of the predictor's learned state (tables + global
+     * Bytes of the predictor's learned state (tables + global
      * history; stats excluded — detailed simulation resets them on
-     * entry). Both sides derive the fixed size from the table
-     * geometry, so the image is position-independent.
+     * entry). A pure function of the table geometry.
      */
     size_t stateBytes() const;
-    void exportState(void *mem) const;
-    void importState(const void *mem);
 
   private:
     static constexpr uint32_t kBimodalBits = 12;

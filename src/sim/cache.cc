@@ -38,51 +38,7 @@ Cache::Cache(const CacheConfig &cfg_)
     setMask = numSets - 1;
     static_assert(std::is_trivially_copyable_v<Line>,
                   "recency reordering uses memmove");
-    lineCount = static_cast<size_t>(numSets) * cfg.assoc;
-    ownedLines.resize(lineCount);
-    lines = ownedLines.data();
-}
-
-Cache::Cache(const Cache &other)
-    : cfg(other.cfg), numSets(other.numSets),
-      lineShift(other.lineShift), setMask(other.setMask),
-      lineCount(other.lineCount),
-      ownedLines(other.lines, other.lines + other.lineCount),
-      lines(ownedLines.data()), lruClock(other.lruClock),
-      cacheStats(other.cacheStats)
-{
-}
-
-Cache &
-Cache::operator=(const Cache &other)
-{
-    if (this == &other)
-        return *this;
-    cfg = other.cfg;
-    numSets = other.numSets;
-    lineShift = other.lineShift;
-    setMask = other.setMask;
-    lineCount = other.lineCount;
-    ownedLines.assign(other.lines, other.lines + other.lineCount);
-    lines = ownedLines.data();
-    lruClock = other.lruClock;
-    cacheStats = other.cacheStats;
-    return *this;
-}
-
-void
-Cache::exportLines(void *dst) const
-{
-    std::memcpy(dst, lines, linesBytes());
-}
-
-void
-Cache::bindExternalLines(void *mem)
-{
-    LP_ASSERT(reinterpret_cast<uintptr_t>(mem) % alignof(Line) == 0);
-    lines = static_cast<Line *>(mem);
-    ownedLines.clear();
-    ownedLines.shrink_to_fit();
+    lines.resize(static_cast<size_t>(numSets) * cfg.assoc);
 }
 
 bool
@@ -352,62 +308,16 @@ CacheHierarchy::resetStats()
     memCount = 0;
 }
 
-// The state image is [u64 scalar header][tag arrays], both in the
-// fixed cache order below. Every piece is 8-byte aligned (Line is a
-// multiple of 8 bytes), so the tag arrays can be bound in place.
-template <typename Fn>
-static void
-forEachCache(std::vector<Cache> &l1d, std::vector<Cache> &l1i,
-             std::vector<Cache> &l2, Cache &l3, Fn &&fn)
-{
-    for (Cache &c : l1d)
-        fn(c);
-    for (Cache &c : l1i)
-        fn(c);
-    for (Cache &c : l2)
-        fn(c);
-    fn(l3);
-}
-
 size_t
 CacheHierarchy::stateBytes() const
 {
-    auto &self = const_cast<CacheHierarchy &>(*this);
-    size_t caches = 0, bytes = 0;
-    forEachCache(self.l1d, self.l1i, self.l2, self.l3, [&](Cache &c) {
-        ++caches;
-        bytes += c.linesBytes();
-    });
-    return (caches + 1) * sizeof(uint64_t) + bytes;
-}
-
-void
-CacheHierarchy::exportState(void *mem) const
-{
-    auto &self = const_cast<CacheHierarchy &>(*this);
-    auto *scalars = static_cast<uint64_t *>(mem);
-    forEachCache(self.l1d, self.l1i, self.l2, self.l3,
-                 [&](Cache &c) { *scalars++ = c.lruClockValue(); });
-    *scalars++ = prefetchCount;
-    auto *blob = reinterpret_cast<unsigned char *>(scalars);
-    forEachCache(self.l1d, self.l1i, self.l2, self.l3, [&](Cache &c) {
-        c.exportLines(blob);
-        blob += c.linesBytes();
-    });
-}
-
-void
-CacheHierarchy::adoptState(void *mem)
-{
-    auto *scalars = static_cast<uint64_t *>(mem);
-    forEachCache(l1d, l1i, l2, l3,
-                 [&](Cache &c) { c.setLruClock(*scalars++); });
-    prefetchCount = *scalars++;
-    auto *blob = reinterpret_cast<unsigned char *>(scalars);
-    forEachCache(l1d, l1i, l2, l3, [&](Cache &c) {
-        c.bindExternalLines(blob);
-        blob += c.linesBytes();
-    });
+    // Every tag array, plus one u64 per cache (its LRU clock) and the
+    // cumulative prefetch counter.
+    size_t bytes = (3 * numCores + 2) * sizeof(uint64_t) + l3.linesBytes();
+    for (uint32_t c = 0; c < numCores; ++c)
+        bytes += l1d[c].linesBytes() + l1i[c].linesBytes() +
+                 l2[c].linesBytes();
+    return bytes;
 }
 
 } // namespace looppoint

@@ -87,34 +87,12 @@ class Cache
     void resetStats() { cacheStats = CacheStats{}; }
     const CacheConfig &config() const { return cfg; }
 
-    // Copying deep-copies the line array into owned storage, whichever
-    // backing the source used; see bindExternalLines().
-    Cache(const Cache &other);
-    Cache &operator=(const Cache &other);
-
     /** Size of the tag array in bytes (fixed by the geometry). */
     size_t
     linesBytes() const
     {
-        return lineCount * sizeof(Line);
+        return lines.size() * sizeof(Line);
     }
-
-    /** memcpy the tag array into `dst` (linesBytes() bytes). */
-    void exportLines(void *dst) const;
-
-    /**
-     * Back the tag array with caller-owned memory (linesBytes() bytes,
-     * 8-byte aligned) instead of the internal vector, releasing the
-     * latter. The memory must hold a valid exported tag array and must
-     * outlive the cache (or the next bind). This is how a region-farm
-     * worker simulates directly in a shipped shared-memory checkpoint
-     * without copying it again.
-     */
-    void bindExternalLines(void *mem);
-
-    /** LRU clock accessors, shipped alongside the tag array. */
-    uint64_t lruClockValue() const { return lruClock; }
-    void setLruClock(uint64_t v) { lruClock = v; }
 
   private:
     struct Line
@@ -145,14 +123,8 @@ class Cache
     uint32_t numSets;
     uint32_t lineShift; ///< log2(lineBytes)
     uint32_t setMask;   ///< numSets - 1
-    size_t lineCount;   ///< numSets x assoc
-    /** Backing store when the cache owns its tag array (the default);
-     * empty after bindExternalLines(). */
-    std::vector<Line> ownedLines;
-    /** The live tag array, recency-ordered per set: ownedLines.data()
-     * or externally bound memory. All access paths index through this
-     * pointer, so binding costs nothing on the hot path. */
-    Line *lines = nullptr;
+    /** Tag array, numSets x assoc, recency-ordered per set. */
+    std::vector<Line> lines;
     uint64_t lruClock = 0;
     CacheStats cacheStats;
 };
@@ -198,18 +170,12 @@ class CacheHierarchy
     void resetStats();
 
     /**
-     * Flat checkpoint image of the warm hierarchy — every tag array
-     * plus the per-cache LRU clocks and the cumulative prefetch
-     * counter (stats are excluded: detailed simulation resets them on
-     * entry). The layout is a pure function of the geometry, so two
-     * hierarchies built from the same SimConfig and core count agree
-     * on it. adoptState() binds the tag arrays directly into `mem`
-     * (zero-copy; see Cache::bindExternalLines) — the memory must
-     * outlive the hierarchy or the next adopt.
+     * Bytes of warm state a checkpoint carries — every tag array plus
+     * the per-cache LRU clocks and the cumulative prefetch counter
+     * (stats are excluded: detailed simulation resets them on entry).
+     * A pure function of the geometry.
      */
     size_t stateBytes() const;
-    void exportState(void *mem) const;
-    void adoptState(void *mem);
 
   private:
     void invalidateOthers(uint32_t core, Addr addr);

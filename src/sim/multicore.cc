@@ -65,30 +65,6 @@ MulticoreSim::microarchStateBytes() const
     return bytes;
 }
 
-void
-MulticoreSim::exportMicroarchState(void *mem) const
-{
-    hierarchy.exportState(mem);
-    auto *p = static_cast<unsigned char *>(mem) +
-              hierarchy.stateBytes();
-    for (const auto &core : cores) {
-        core.predictor().exportState(p);
-        p += core.predictor().stateBytes();
-    }
-}
-
-void
-MulticoreSim::adoptMicroarchState(void *mem)
-{
-    hierarchy.adoptState(mem);
-    auto *p = static_cast<unsigned char *>(mem) +
-              hierarchy.stateBytes();
-    for (auto &core : cores) {
-        core.predictor().importState(p);
-        p += core.predictor().stateBytes();
-    }
-}
-
 namespace {
 
 struct NeverStop

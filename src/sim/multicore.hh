@@ -159,22 +159,13 @@ class MulticoreSim
     const SimConfig &config() const { return simCfg; }
 
     /**
-     * Flat image of the warm microarchitectural state — cache tag
-     * arrays, LRU clocks, prefetch counter, branch-predictor tables.
-     * Together with ExecutionEngine::save/load this is the complete
-     * restart set of a region checkpoint: everything else (core
-     * clocks, dependence rings, statistics) is reset when detailed
-     * simulation enters. The layout is a pure function of the
-     * configuration, so a sim built from the same Program/configs can
-     * adopt an image exported by another process.
-     *
-     * adoptMicroarchState() binds the cache tag arrays directly into
-     * `mem` (zero-copy): the memory must stay valid while the sim
-     * lives, and the sim's subsequent execution mutates it in place.
+     * Bytes of warm microarchitectural state — cache tag arrays, LRU
+     * clocks, prefetch counter, branch-predictor tables. Together with
+     * the engine's functional state this is the complete restart set
+     * of a region checkpoint: everything else (core clocks, dependence
+     * rings, statistics) is reset when detailed simulation enters.
      */
     size_t microarchStateBytes() const;
-    void exportMicroarchState(void *mem) const;
-    void adoptMicroarchState(void *mem);
 
   private:
     /** Shared stepping loop; `stop` is any bool() callable. */

@@ -20,10 +20,10 @@
  *
  * Concurrency contract: every mutation (publish, gc) and every lookup
  * holds an exclusive flock on `.lock` and reloads the manifest first,
- * so pool/procs workers, parallel campaigns, and concurrent processes
- * share one store without torn state. Publication is atomic (tmp +
- * rename) for both objects and the manifest; a crash mid-publish
- * leaves at worst an orphaned object that the next gc collects.
+ * so pool threads, parallel campaigns, and concurrent processes share
+ * one store without torn state. Publication is atomic (tmp + rename)
+ * for both objects and the manifest; a crash mid-publish leaves at
+ * worst an orphaned object that the next gc collects.
  *
  * A corrupt object (truncated, bit-flipped, wrong length) is treated
  * as data, not a fatal error: the lookup counts it, unlinks it, drops

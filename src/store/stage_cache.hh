@@ -11,8 +11,8 @@
  * transitive — a new recording re-keys profiling, clustering, and
  * simulation automatically — while the field partition keeps it
  * minimal: changing a cache size re-keys only the simulation stages,
- * and host-side knobs (jobs, backend, obs, retries, ...) appear in no
- * key at all.
+ * and host-side knobs (jobs, obs, retries, ...) appear in no key at
+ * all.
  *
  *   record   f(program, threads, wait policy, seed, flow quantum)
  *   profile  f(record hash, slice size, spin filter, flow quantum)

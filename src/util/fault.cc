@@ -115,11 +115,11 @@ parseClause(const std::string &clause)
         if (!have_kind)
             spec.kind = FaultSpec::Kind::Throw;
         if (spec.kind == FaultSpec::Kind::FlipByte ||
+            spec.kind == FaultSpec::Kind::Wedge ||
             spec.kind == FaultSpec::Kind::Crash ||
             spec.kind == FaultSpec::Kind::CorruptResult)
             fatal("--inject-fault: sim clause '%s' expects kind "
-                  "throw, diverge, kill, wedge, or interrupt",
-                  clause.c_str());
+                  "throw, diverge, kill, or interrupt", clause.c_str());
     } else if (site == "corrupt") {
         spec.site = FaultSpec::Site::Corrupt;
         spec.kind = FaultSpec::Kind::FlipByte;

@@ -5,8 +5,9 @@
  * tail, fingerprint mismatch, exactly-once replay), stale-result
  * detection, and the supervisor end to end — injected crash, wedge
  * (watchdog escalation), and corrupt-result faults must each cost one
- * attempt, never the campaign, and a restarted supervisor must adopt
- * completed jobs from the journal without relaunching them.
+ * attempt, never the campaign, a restarted supervisor must adopt
+ * completed jobs from the journal without relaunching them, and a job
+ * killed mid-phase must resume from its region journal bit-identically.
  */
 
 #include <gtest/gtest.h>
@@ -14,10 +15,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -494,6 +497,100 @@ TEST(Supervisor, WedgeFaultIsClearedByWatchdogEscalation)
     ASSERT_FALSE(jnl.load(true));
     EXPECT_EQ(countEvents(jnl, 0, "timeout"), 1u);
     EXPECT_EQ(countEvents(jnl, 0, "ok"), 1u);
+}
+
+/** A document's lines, minus those carrying a wall-time field. */
+std::string
+withoutWallTimes(const std::string &doc)
+{
+    std::istringstream is(doc);
+    std::string line, out;
+    while (std::getline(is, line))
+        if (line.find("\"wallSeconds\"") == std::string::npos)
+            out += line + "\n";
+    return out;
+}
+
+size_t
+countSubstr(const std::string &text, const std::string &needle)
+{
+    size_t n = 0;
+    for (size_t pos = text.find(needle); pos != std::string::npos;
+         pos = text.find(needle, pos + 1))
+        ++n;
+    return n;
+}
+
+TEST(Supervisor, KilledJobResumesFromItsJournalBitIdentical)
+{
+    // An app with several regions (demo-matrix-1 selects one). No
+    // store: the killed attempt then leaves nothing behind but its
+    // region journal, and the resumed job's store accounting is
+    // comparable with an uninterrupted run's.
+    auto storeless = [](const std::string &dir) {
+        CampaignSpec spec = tinySpec(dir);
+        spec.apps = {"spec-lbm-1"};
+        spec.storeDir.clear();
+        return spec;
+    };
+    const std::string ref_dir = freshDir("sup_kill_ref");
+    {
+        CampaignSupervisor sup(storeless(ref_dir), fastOptions());
+        ASSERT_EQ(sup.run().exitCode, 0);
+    }
+
+    const std::string dir = freshDir("sup_kill");
+    const CampaignSpec spec = storeless(dir);
+    std::vector<CampaignJob> jobs = expandCampaignMatrix(spec);
+    ASSERT_EQ(jobs.size(), 1u);
+    const std::string job_dir = dir + "/" + jobs[0].id;
+    makeCampaignDir(dir);
+    makeCampaignDir(job_dir);
+    const ExperimentConfig cfg = campaignJobConfig(jobs[0], job_dir, spec);
+    ASSERT_FALSE(cfg.resume);
+
+    // Regions in program order, the order the warming pass takes them.
+    ExperimentConfig probe = cfg;
+    probe.journalPath.clear();
+    const auto regions = runExperiment(probe).analysis.regions;
+    ASSERT_GE(regions.size(), 2u);
+    std::vector<uint32_t> order(regions.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+        return regions[a].sliceIndex < regions[b].sliceIndex;
+    });
+
+    // The killed attempt: the first region completes and is journaled
+    // — on its second attempt, a mark a fresh re-simulation would not
+    // reproduce — then the host "dies" in the second region.
+    ExperimentConfig dying = cfg;
+    dying.sim.regionRetries = 1;
+    dying.sim.faults = FaultPlan::parse(
+        "sim:region=" + std::to_string(order[0]) +
+        ",kind=throw,times=1;sim:region=" + std::to_string(order[1]) +
+        ",kind=kill");
+    EXPECT_THROW(runExperiment(dying), InjectedKill);
+    const std::string partial = slurp(cfg.journalPath);
+    ASSERT_EQ(countSubstr(partial, "region idx="), 1u);
+    ASSERT_NE(partial.find("region idx=" + std::to_string(order[0]) + " "),
+              std::string::npos);
+    ASSERT_NE(partial.find(" attempts=2 "), std::string::npos);
+
+    CampaignSupervisor sup(spec, fastOptions());
+    SupervisorResult res = sup.run();
+    EXPECT_EQ(res.exitCode, 0);
+    EXPECT_EQ(res.jobs[0].status, "ok");
+    EXPECT_EQ(res.launches, 1u);
+
+    // Resumed, not restarted: the killed attempt's record was a journal
+    // hit, kept verbatim ahead of the regions simulated after it.
+    const std::string journal = slurp(cfg.journalPath);
+    EXPECT_EQ(journal.compare(0, partial.size(), partial), 0);
+    EXPECT_EQ(countSubstr(journal, "region idx="), regions.size());
+
+    EXPECT_EQ(withoutWallTimes(slurp(job_dir + "/result.json")),
+              withoutWallTimes(
+                  slurp(ref_dir + "/" + jobs[0].id + "/result.json")));
 }
 
 TEST(Supervisor, CorruptResultFaultIsDetectedAndRetried)

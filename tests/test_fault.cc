@@ -158,6 +158,9 @@ TEST(FaultPlan, RejectsMalformedSpecs)
                  FatalError);
     EXPECT_THROW(FaultPlan::parse("sim:region=1,what=ever"),
                  FatalError);
+    // wedge is a job-site kind only.
+    EXPECT_THROW(FaultPlan::parse("sim:region=1,kind=wedge"),
+                 FatalError);
     EXPECT_THROW(FaultPlan::parse("sim:region=1;;sim:region=2"),
                  FatalError);
     EXPECT_THROW(FaultPlan::parse("corrupt:seed=3"), FatalError);

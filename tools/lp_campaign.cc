@@ -61,7 +61,6 @@ usage()
         "  --out=DIR          campaign directory (required)\n"
         "  --store=DIR        artifact store (default: <out>/store)\n"
         "  --jobs=N           host workers per job (default: 1)\n"
-        "  --backend=B        pool | procs (default: pool)\n"
         "  --wait-policy=P    passive | active (default: passive)\n"
         "  --seed=N           analysis seed (default: 42)\n"
         "  --no-fullsim       skip per-job ground-truth simulation\n"
@@ -173,8 +172,6 @@ parseCli(int argc, char **argv)
             spec.storeDir = value;
         } else if (parseArg(argc, argv, i, "--jobs", &value)) {
             spec.jobs = static_cast<uint32_t>(std::stoul(value));
-        } else if (parseArg(argc, argv, i, "--backend", &value)) {
-            spec.backend = value;
         } else if (parseArg(argc, argv, i, "--wait-policy", &value)) {
             spec.waitPolicy = value;
         } else if (parseArg(argc, argv, i, "--seed", &value)) {
