@@ -523,13 +523,16 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
             static_cast<uint64_t>(c.wallSeconds * 1e6));
     };
 
-    // Checkpoint fanout: the warming pass (necessarily serial — it is
-    // one execution) advances in program order; each checkpoint it
-    // reaches goes straight to the fanout, so region bodies simulate
-    // while warming continues toward the next checkpoint. With
-    // jobs == 1 each region runs inline, which is exactly the serial
-    // schedule. The fanout is destroyed before `out` and the sink on
-    // unwind, draining whatever is still in flight.
+    // Checkpoint fanout: the warming pass advances one execution in
+    // program order (this thread steps the engine; its cache accesses
+    // are applied by base.warmShards() cache-set shard consumers, with
+    // a bit-identical result — see sim/warm_stream.hh); each
+    // checkpoint it reaches goes straight to the fanout, so region
+    // bodies simulate while warming continues toward the next
+    // checkpoint. With jobs == 1 each region runs inline and warming
+    // uses one shard, which is exactly the serial schedule. The fanout
+    // is destroyed before `out` and the sink on unwind, draining
+    // whatever is still in flight.
     RegionFanout fanout(poolFor(out.jobs), sim_cfg.faults, on_completion);
 
     for (size_t idx : order) {
@@ -562,7 +565,8 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
         auto t_ff = clock::now();
         {
             ScopedSpan warm_span(tracer, "warm.fastforward");
-            warm_span.arg("region", static_cast<uint64_t>(idx));
+            warm_span.arg("region", static_cast<uint64_t>(idx))
+                .arg("shards", base.warmShards());
             if (region.start.pc != 0 && region.start.count > 0) {
                 BlockId start_block = block_of(region.start.pc);
                 base.fastForwardUntil(start_block, region.start.count,
@@ -647,6 +651,7 @@ LoopPointPipeline::simulateRegionsCheckpointed(const LoopPointResult &lp,
     out.diagnostics = sink.take();
     out.phaseWallSeconds = seconds_since(t_phase);
     phase_span.arg("jobs", out.jobs)
+        .arg("warm_shards", base.warmShards())
         .arg("regions", static_cast<uint64_t>(lp.regions.size()))
         .arg("journal_hits", static_cast<uint64_t>(out.journalHits))
         .arg("coverage", out.coverage)

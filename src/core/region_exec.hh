@@ -4,8 +4,9 @@
  * thread-pool fanout.
  *
  * simulateRegionsCheckpointed is split into a *producer* — the
- * necessarily-serial warming pass that advances one execution in
- * program order and stops at every region start — and this fanout.
+ * warming pass that advances one execution in program order (its
+ * cache warming sharded by set, sim/warm_stream.hh) and stops at
+ * every region start — and this fanout.
  * The producer hands each region's work item plus the warm simulation
  * state to submit(); the fanout deep-copies the state into a
  * WarmSnapshot, runs the region's attempt loop (core/region_run.hh) on

@@ -3,7 +3,7 @@
  * The region attempt loop of checkpointed region simulation.
  *
  * Checkpointed region simulation separates *producing* region work (a
- * serial warming pass that stops at each region start) from *executing*
+ * warming pass that stops at each region start) from *executing*
  * it (warm snapshot in, metrics out). This file holds the execution
  * half's core: given a warm snapshot and a region's markers, run the
  * detailed simulation with the full retry/fault-injection/watchdog

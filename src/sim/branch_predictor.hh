@@ -26,6 +26,8 @@ struct BranchStats
     uint64_t branches = 0;
     uint64_t mispredicts = 0;
 
+    bool operator==(const BranchStats &other) const = default;
+
     double
     missRate() const
     {
@@ -57,6 +59,9 @@ class PentiumMBranchPredictor
      */
     size_t stateBytes() const;
 
+    /** Same tables, history and statistics. */
+    bool operator==(const PentiumMBranchPredictor &other) const = default;
+
   private:
     static constexpr uint32_t kBimodalBits = 12;
     static constexpr uint32_t kGlobalBits = 12;
@@ -80,6 +85,8 @@ class PentiumMBranchPredictor
         uint32_t currentIter = 0; ///< iterations seen this visit
         uint8_t confidence = 0;
         bool valid = false;
+
+        bool operator==(const LoopEntry &other) const = default;
     };
 
     std::vector<uint8_t> bimodal;

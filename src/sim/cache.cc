@@ -1,5 +1,6 @@
 #include "sim/cache.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <type_traits>
 
@@ -41,29 +42,31 @@ Cache::Cache(const CacheConfig &cfg_)
     lines.resize(static_cast<size_t>(numSets) * cfg.assoc);
 }
 
+template <bool Count>
 bool
 Cache::access(Addr addr, uint32_t core, bool is_write,
               std::optional<Addr> *evicted)
 {
     (void)is_write;
-    ++cacheStats.accesses;
+    if constexpr (Count)
+        ++cacheStats.accesses;
     const uint64_t line = lineAddr(addr);
+    const uint64_t bit = 1ull << core;
     Line *base =
         &lines[static_cast<size_t>(setIndex(line)) * cfg.assoc];
 
     // MRU fast path: recency order makes the common temporal-locality
-    // hit a single compare.
+    // hit a single compare, and a hit by a known sharer stores nothing.
     if (base[0].valid && base[0].tag == line) {
-        base[0].lru = ++lruClock;
-        base[0].sharerMask |= (1ull << core);
+        if (!(base[0].sharerMask & bit))
+            base[0].sharerMask |= bit;
         return true;
     }
     uint32_t w = 1;
     for (; w < cfg.assoc && base[w].valid; ++w) {
         if (base[w].tag == line) {
             Line hit = base[w];
-            hit.lru = ++lruClock;
-            hit.sharerMask |= (1ull << core);
+            hit.sharerMask |= bit;
             std::memmove(base + 1, base, w * sizeof(Line));
             base[0] = hit;
             return true;
@@ -71,16 +74,22 @@ Cache::access(Addr addr, uint32_t core, bool is_write,
     }
     // Miss. `w` is the insertion slot: the first invalid way, or one
     // past the end. A full set's LRU line is the last way — the victim.
-    ++cacheStats.misses;
+    if constexpr (Count)
+        ++cacheStats.misses;
     if (w == cfg.assoc) {
         --w;
         if (evicted)
             *evicted = base[w].tag << lineShift;
     }
     std::memmove(base + 1, base, w * sizeof(Line));
-    base[0] = Line{line, ++lruClock, 1ull << core, true};
+    base[0] = Line{line, bit, true};
     return false;
 }
+
+template bool Cache::access<true>(Addr, uint32_t, bool,
+                                  std::optional<Addr> *);
+template bool Cache::access<false>(Addr, uint32_t, bool,
+                                   std::optional<Addr> *);
 
 std::optional<Addr>
 Cache::fill(Addr addr, uint32_t core)
@@ -101,10 +110,11 @@ Cache::fill(Addr addr, uint32_t core)
         evicted = base[w].tag << lineShift;
     }
     std::memmove(base + 1, base, w * sizeof(Line));
-    base[0] = Line{line, ++lruClock, 1ull << core, true};
+    base[0] = Line{line, 1ull << core, true};
     return evicted;
 }
 
+template <bool Count>
 bool
 Cache::invalidate(Addr addr)
 {
@@ -117,12 +127,16 @@ Cache::invalidate(Addr addr)
             std::memmove(base + w, base + w + 1,
                          (cfg.assoc - 1 - w) * sizeof(Line));
             base[cfg.assoc - 1] = Line{};
-            ++cacheStats.invalidations;
+            if constexpr (Count)
+                ++cacheStats.invalidations;
             return true;
         }
     }
     return false;
 }
+
+template bool Cache::invalidate<true>(Addr);
+template bool Cache::invalidate<false>(Addr);
 
 bool
 Cache::contains(Addr addr) const
@@ -146,18 +160,26 @@ Cache::sharers(Addr addr) const
     return 0;
 }
 
-void
-Cache::removeSharer(Addr addr, uint32_t core)
+uint64_t
+Cache::takeOtherSharers(Addr addr, uint32_t core)
 {
     const uint64_t line = lineAddr(addr);
+    const uint64_t keep = 1ull << core;
     Line *base = set(addr);
-    for (uint32_t w = 0; w < cfg.assoc && base[w].valid; ++w)
-        if (base[w].tag == line)
-            base[w].sharerMask &= ~(1ull << core);
+    for (uint32_t w = 0; w < cfg.assoc && base[w].valid; ++w) {
+        if (base[w].tag == line) {
+            const uint64_t others = base[w].sharerMask & ~keep;
+            if (others)
+                base[w].sharerMask &= keep;
+            return others;
+        }
+    }
+    return 0;
 }
 
-CacheHierarchy::CacheHierarchy(const SimConfig &cfg_, uint32_t num_cores)
-    : cfg(cfg_), numCores(num_cores), l3(cfg_.l3)
+CacheHierarchy::CacheHierarchy(const SimConfig &cfg, uint32_t num_cores)
+    : prefetchDegree(cfg.prefetchDegree), prefetchStride(cfg.l2.lineBytes),
+      numCores(num_cores), l3(cfg.l3)
 {
     LP_ASSERT(num_cores >= 1 && num_cores <= 64);
     for (uint32_t c = 0; c < num_cores; ++c) {
@@ -175,63 +197,65 @@ CacheHierarchy::CacheHierarchy(const SimConfig &cfg_, uint32_t num_cores)
     fetchLat[3] = fetchLat[2] + cfg.memLatency;
 }
 
+template <bool Timed>
 void
 CacheHierarchy::invalidateOthers(uint32_t core, Addr addr)
 {
-    uint64_t mask = l3.sharers(addr) & ~(1ull << core);
+    // One L3 walk finds the line and clears every other sharer.
+    uint64_t mask = l3.takeOtherSharers(addr, core);
     while (mask) {
         uint32_t other = static_cast<uint32_t>(__builtin_ctzll(mask));
         mask &= mask - 1;
-        if (other >= numCores)
-            continue;
-        l1d[other].invalidate(addr);
-        l2[other].invalidate(addr);
-        l3.removeSharer(addr, other);
+        l1d[other].invalidate<Timed>(addr);
+        l2[other].invalidate<Timed>(addr);
     }
 }
 
+template <bool Timed>
 void
 CacheHierarchy::backInvalidate(Addr addr)
 {
     // Inclusive L3: evicting a line removes it from private caches.
     for (uint32_t c = 0; c < numCores; ++c) {
-        l1d[c].invalidate(addr);
-        l1i[c].invalidate(addr);
-        l2[c].invalidate(addr);
+        l1d[c].invalidate<Timed>(addr);
+        l1i[c].invalidate<Timed>(addr);
+        l2[c].invalidate<Timed>(addr);
     }
 }
 
+template <bool Timed>
 MemAccessResult
-CacheHierarchy::access(uint32_t core, Addr addr, bool is_write)
+CacheHierarchy::accessImpl(uint32_t core, Addr addr, bool is_write)
 {
     // No per-access bounds assert: core ids come from CoreModel
     // instances constructed against this hierarchy's core count.
     MemAccessResult r;
     std::optional<Addr> evicted;
 
-    if (l1d[core].access(addr, core, is_write, nullptr)) {
+    if (l1d[core].access<Timed>(addr, core, is_write, nullptr)) {
         r.hitLevel = 1;
-    } else if (l2[core].access(addr, core, is_write, nullptr)) {
+    } else if (l2[core].access<Timed>(addr, core, is_write, nullptr)) {
         r.hitLevel = 2;
-    } else if (l3.access(addr, core, is_write, &evicted)) {
+    } else if (l3.access<Timed>(addr, core, is_write, &evicted)) {
         r.hitLevel = 3;
     } else {
         r.hitLevel = 4;
-        ++memCount;
+        if constexpr (Timed)
+            ++memCount;
         if (evicted)
-            backInvalidate(*evicted);
+            backInvalidate<Timed>(*evicted);
     }
     r.latency = dataLat[r.hitLevel - 1];
     if (is_write)
-        invalidateOthers(core, addr);
+        invalidateOthers<Timed>(core, addr);
 
     // Next-line prefetcher: an L2 demand miss pulls the following
     // lines into the L2 and L3 without charging demand latency.
-    if (cfg.prefetchDegree > 0 && r.hitLevel >= 3 && !is_write) {
-        for (uint32_t d = 1; d <= cfg.prefetchDegree; ++d) {
-            Addr pf = addr + static_cast<Addr>(d) * cfg.l2.lineBytes;
+    if (prefetchDegree > 0 && r.hitLevel >= 3 && !is_write) {
+        for (uint32_t d = 1; d <= prefetchDegree; ++d) {
+            Addr pf = addr + static_cast<Addr>(d) * prefetchStride;
             if (auto evicted_l3 = l3.fill(pf, core))
-                backInvalidate(*evicted_l3);
+                backInvalidate<Timed>(*evicted_l3);
             l2[core].fill(pf, core);
             ++prefetchCount;
         }
@@ -239,37 +263,72 @@ CacheHierarchy::access(uint32_t core, Addr addr, bool is_write)
     return r;
 }
 
+template <bool Timed>
 MemAccessResult
-CacheHierarchy::fetch(uint32_t core, Addr pc)
+CacheHierarchy::fetchImpl(uint32_t core, Addr pc)
 {
     MemAccessResult r;
     std::optional<Addr> evicted;
-    if (l1i[core].access(pc, core, false, nullptr)) {
+    if (l1i[core].access<Timed>(pc, core, false, nullptr)) {
         r.hitLevel = 1;
-    } else if (l2[core].access(pc, core, false, nullptr)) {
+    } else if (l2[core].access<Timed>(pc, core, false, nullptr)) {
         r.hitLevel = 2;
-    } else if (l3.access(pc, core, false, &evicted)) {
+    } else if (l3.access<Timed>(pc, core, false, &evicted)) {
         r.hitLevel = 3;
     } else {
         r.hitLevel = 4;
-        ++memCount;
+        if constexpr (Timed)
+            ++memCount;
         if (evicted)
-            backInvalidate(*evicted);
+            backInvalidate<Timed>(*evicted);
     }
     r.latency = fetchLat[r.hitLevel - 1];
     return r;
 }
 
+MemAccessResult
+CacheHierarchy::access(uint32_t core, Addr addr, bool is_write)
+{
+    return accessImpl<true>(core, addr, is_write);
+}
+
+MemAccessResult
+CacheHierarchy::fetch(uint32_t core, Addr pc)
+{
+    return fetchImpl<true>(core, pc);
+}
+
 void
 CacheHierarchy::warmAccess(uint32_t core, Addr addr, bool is_write)
 {
-    access(core, addr, is_write);
+    accessImpl<false>(core, addr, is_write);
 }
 
 void
 CacheHierarchy::warmFetch(uint32_t core, Addr pc)
 {
-    fetch(core, pc);
+    fetchImpl<false>(core, pc);
+}
+
+uint32_t
+CacheHierarchy::maxWarmShards() const
+{
+    const CacheConfig &line_cfg = l3.config();
+    uint32_t shards = l3.sets();
+    for (uint32_t c = 0; c < numCores; ++c) {
+        for (const Cache *cache : {&l1d[c], &l1i[c], &l2[c]}) {
+            if (cache->config().lineBytes != line_cfg.lineBytes)
+                return 1;
+            shards = std::min(shards, cache->sets());
+        }
+    }
+    return prefetchDegree > 0 ? 1 : shards;
+}
+
+uint32_t
+CacheHierarchy::lineShift() const
+{
+    return log2u32(l3.config().lineBytes);
 }
 
 const CacheStats &
@@ -311,9 +370,8 @@ CacheHierarchy::resetStats()
 size_t
 CacheHierarchy::stateBytes() const
 {
-    // Every tag array, plus one u64 per cache (its LRU clock) and the
-    // cumulative prefetch counter.
-    size_t bytes = (3 * numCores + 2) * sizeof(uint64_t) + l3.linesBytes();
+    // Every tag array, plus the cumulative prefetch counter.
+    size_t bytes = sizeof(prefetchCount) + l3.linesBytes();
     for (uint32_t c = 0; c < numCores; ++c)
         bytes += l1d[c].linesBytes() + l1i[c].linesBytes() +
                  l2[c].linesBytes();

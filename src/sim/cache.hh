@@ -11,7 +11,15 @@
  * invalid ways at the tail. The common temporal-locality hit is a
  * single compare against way 0, the victim of a full set is always the
  * last way, and invalid-way search never scans past the valid prefix.
- * The ordering is observationally identical to classic timestamp LRU.
+ * The ordering is observationally identical to classic timestamp LRU,
+ * so lines carry no timestamp: the way order *is* the LRU state.
+ *
+ * Set locality: every side effect of an access (recency reorder, fill,
+ * the L3 victim and its back-invalidation, write-invalidation of other
+ * cores' copies) stays within sets whose index has the same low bits
+ * as the accessed line. The sharded warming pass (sim/warm_stream.hh)
+ * relies on it, and the warm (uncounted) path writes nothing outside
+ * the sets it touches.
  */
 
 #ifndef LOOPPOINT_SIM_CACHE_HH
@@ -32,6 +40,8 @@ struct CacheStats
     uint64_t accesses = 0;
     uint64_t misses = 0;
     uint64_t invalidations = 0;
+
+    bool operator==(const CacheStats &other) const = default;
 
     double
     missRate() const
@@ -54,6 +64,8 @@ class Cache
 
     /**
      * Look up and allocate on miss (LRU victim).
+     * @tparam Count update the demand statistics; the functional
+     *         warming path passes false and then touches only the set
      * @param core requesting core (for sharer tracking)
      * @param evicted receives the victim line address when a valid
      *        line was displaced; left untouched otherwise. An
@@ -61,6 +73,7 @@ class Cache
      *        address 0.
      * @return true on hit
      */
+    template <bool Count = true>
     bool access(Addr addr, uint32_t core, bool is_write,
                 std::optional<Addr> *evicted);
 
@@ -71,7 +84,9 @@ class Cache
      */
     std::optional<Addr> fill(Addr addr, uint32_t core);
 
-    /** Remove a line if present; returns true if it was. */
+    /** Remove a line if present; returns true if it was. `Count` as
+     * for access(). */
+    template <bool Count = true>
     bool invalidate(Addr addr);
 
     /** True if the line is resident (no LRU update, no stats). */
@@ -80,12 +95,21 @@ class Cache
     /** Sharer bitmask of a resident line (L3 only); 0 if absent. */
     uint64_t sharers(Addr addr) const;
 
-    /** Drop a core from a line's sharer set. */
-    void removeSharer(Addr addr, uint32_t core);
+    /**
+     * Drop every sharer except `core` from a resident line, in one
+     * set walk; returns the dropped sharer bits (0 if absent).
+     */
+    uint64_t takeOtherSharers(Addr addr, uint32_t core);
+
+    /** Number of sets (a power of two). */
+    uint32_t sets() const { return numSets; }
 
     const CacheStats &stats() const { return cacheStats; }
     void resetStats() { cacheStats = CacheStats{}; }
     const CacheConfig &config() const { return cfg; }
+
+    /** Same geometry, tags, way order, sharer masks and statistics. */
+    bool operator==(const Cache &other) const = default;
 
     /** Size of the tag array in bytes (fixed by the geometry). */
     size_t
@@ -98,9 +122,10 @@ class Cache
     struct Line
     {
         Addr tag = 0;
-        uint64_t lru = 0;
         uint64_t sharerMask = 0;
         bool valid = false;
+
+        bool operator==(const Line &other) const = default;
     };
 
     uint64_t lineAddr(Addr addr) const { return addr >> lineShift; }
@@ -125,7 +150,6 @@ class Cache
     uint32_t setMask;   ///< numSets - 1
     /** Tag array, numSets x assoc, recency-ordered per set. */
     std::vector<Line> lines;
-    uint64_t lruClock = 0;
     CacheStats cacheStats;
 };
 
@@ -154,9 +178,28 @@ class CacheHierarchy
     /** Instruction fetch for one block. */
     MemAccessResult fetch(uint32_t core, Addr pc);
 
-    /** Warm the hierarchy without timing (functional warmup). */
+    /**
+     * Warm the hierarchy without timing (functional warmup): the same
+     * routines as access()/fetch(), but no statistic is counted, so a
+     * call writes only the sets of the accessed line (plus the
+     * prefetch counter when prefetching is on).
+     */
     void warmAccess(uint32_t core, Addr addr, bool is_write);
     void warmFetch(uint32_t core, Addr pc);
+
+    /**
+     * Largest number of shards the warming pass may split this
+     * hierarchy into (see sim/warm_stream.hh): the smallest set count
+     * of any cache, since shards own disjoint set-index residues. 1
+     * when next-line prefetch is on (it couples adjacent lines, which
+     * live in different shards) or when the levels' line sizes differ
+     * (a line would map to different shards at different levels).
+     */
+    uint32_t maxWarmShards() const;
+
+    /** log2 of the line size shared by every level (valid whenever
+     * maxWarmShards() > 1). */
+    uint32_t lineShift() const;
 
     /** Prefetches issued into the L2s (demand-miss triggered). */
     uint64_t prefetchesIssued() const { return prefetchCount; }
@@ -171,17 +214,28 @@ class CacheHierarchy
 
     /**
      * Bytes of warm state a checkpoint carries — every tag array plus
-     * the per-cache LRU clocks and the cumulative prefetch counter
-     * (stats are excluded: detailed simulation resets them on entry).
-     * A pure function of the geometry.
+     * the cumulative prefetch counter (stats are excluded: detailed
+     * simulation resets them on entry). A pure function of the
+     * geometry.
      */
     size_t stateBytes() const;
 
+    /** Same caches (see Cache::operator==) and counters. */
+    bool operator==(const CacheHierarchy &other) const = default;
+
   private:
+    /** The one access routine; Timed counts demand statistics. */
+    template <bool Timed>
+    MemAccessResult accessImpl(uint32_t core, Addr addr, bool is_write);
+    template <bool Timed>
+    MemAccessResult fetchImpl(uint32_t core, Addr pc);
+    template <bool Timed>
     void invalidateOthers(uint32_t core, Addr addr);
+    template <bool Timed>
     void backInvalidate(Addr addr);
 
-    SimConfig cfg;
+    uint32_t prefetchDegree;
+    uint32_t prefetchStride; ///< L2 line bytes
     uint32_t numCores;
     std::vector<Cache> l1d;
     std::vector<Cache> l1i;

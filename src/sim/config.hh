@@ -29,6 +29,8 @@ struct CacheConfig
     uint32_t assoc = 8;
     uint32_t lineBytes = 64;
     uint32_t latency = 3; ///< access latency in cycles
+
+    bool operator==(const CacheConfig &other) const = default;
 };
 
 /**
@@ -98,8 +100,11 @@ struct SimConfig
     /**
      * Host worker threads for checkpointed region simulation
      * (checkpoint fanout). 1 = serial, 0 = hardware concurrency (see
-     * ThreadPool::resolveWorkers). Purely a host-side knob: simulated
-     * results are bit-identical for any value.
+     * ThreadPool::resolveWorkers). Also sizes the warming pass's
+     * cache-set shards: the largest power of two <= the resolved
+     * value, capped by CacheHierarchy::maxWarmShards() (see
+     * sim/warm_stream.hh). Purely a host-side knob: simulated results
+     * are bit-identical for any value.
      */
     uint32_t jobs = 1;
 

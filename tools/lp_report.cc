@@ -326,20 +326,25 @@ reportTrace(const Options &opt)
             return it == cp.numArgs.end() ? 0.0 : it->second;
         };
         const double jobs = arg("jobs");
+        // Traces from before sharded warming carry no warm_shards
+        // arg; their warming ran on one shard.
+        const double shards = std::max(1.0, arg("warm_shards"));
         const double phase_ms = cp.durUs / 1e3;
 
         // Busy time inside the phase: every region body plus the
-        // (serial) warming stops, measured on the threads that ran
-        // them.
+        // warming stops, measured on the threads that ran them (a
+        // warming span's wall time covers its shard consumers, which
+        // it joins before closing).
         double busy_ms = 0.0;
         for (const auto &[region, ev] : regionSims)
             busy_ms += ev->durUs / 1e3;
         for (const auto &[region, ev] : regionWarms)
             busy_ms += ev->durUs / 1e3;
         if (jobs > 0.0 && phase_ms > 0.0)
-            std::printf("\nhost-parallel  : %g jobs, busy %.3f ms "
-                        "over phase %.3f ms -> efficiency %.0f%%\n",
-                        jobs, busy_ms, phase_ms,
+            std::printf("\nhost-parallel  : %g jobs, %g warm shards, busy "
+                        "%.3f ms over phase %.3f ms -> efficiency "
+                        "%.0f%%\n",
+                        jobs, shards, busy_ms, phase_ms,
                         100.0 * busy_ms / (phase_ms * jobs));
 
         // Critical path: a region cannot start before its checkpoint
