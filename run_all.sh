@@ -5,8 +5,9 @@
 # With --tsan (or LOOPPOINT_TSAN=1) the tier-1 test suite is first
 # built and run under ThreadSanitizer (-DLOOPPOINT_SANITIZE=thread in
 # build-tsan/) to validate the work-stealing thread pool and the
-# host-parallel phases; the regular suite and benches then run from
-# the unsanitized build as usual.
+# host-parallel phases (the run journal, campaign journal, CRC-line
+# log and artifact-store suites run first, by name); the regular
+# suite and benches then run from the unsanitized build as usual.
 #
 # With --ubsan the tier-1 suite is built and run under
 # UndefinedBehaviorSanitizer (-DLOOPPOINT_SANITIZE=undefined,
@@ -65,7 +66,7 @@ if [ "$1" = "--faults" ]; then
         -DLOOPPOINT_WERROR=ON || exit 1
     cmake --build build-asan -j || exit 1
     ctest --test-dir build-asan --output-on-failure -R \
-        'Checksum|FaultPlan|ArtifactIntegrity|HostileInput|LegacyFormat|NoFatalGuard|RunKeyCodec|Journal|FaultPipeline|Sha1|Fingerprint|ArtifactStore|StageKeys|StorePipeline' \
+        'Checksum|CrcLog|DurableFile|FaultPlan|ArtifactIntegrity|HostileInput|LegacyFormat|NoFatalGuard|RunKeyCodec|Journal|FaultPipeline|Sha1|Fingerprint|ArtifactStore|StageKeys|StorePipeline' \
         2>&1 | tee faults_output.txt
     [ "${PIPESTATUS[0]}" = 0 ] || exit 1
 
@@ -471,8 +472,15 @@ if [ "$1" = "--tsan" ] || [ "${LOOPPOINT_TSAN:-0}" = "1" ]; then
     cmake -B build-tsan -S . -DLOOPPOINT_SANITIZE=thread \
         -DLOOPPOINT_WERROR=ON || exit 1
     cmake --build build-tsan -j || exit 1
-    ctest --test-dir build-tsan --output-on-failure 2>&1 \
-        | tee tsan_output.txt || exit 1
+    # The logs first, by name: region tasks append to the run journal
+    # concurrently, and store instances share one manifest.
+    logs='Journal|CampaignJournal|CrcLog|ArtifactStore'
+    ctest --test-dir build-tsan --output-on-failure -R "$logs" 2>&1 \
+        | tee tsan_output.txt
+    [ "${PIPESTATUS[0]}" = 0 ] || exit 1
+    ctest --test-dir build-tsan --output-on-failure -E "$logs" 2>&1 \
+        | tee -a tsan_output.txt
+    [ "${PIPESTATUS[0]}" = 0 ] || exit 1
 fi
 
 ctest --test-dir build 2>&1 | tee test_output.txt

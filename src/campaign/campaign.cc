@@ -13,6 +13,7 @@
 #include "core/experiment.hh"
 #include "obs/json.hh"
 #include "util/checksum.hh"
+#include "util/durable_file.hh"
 #include "util/interrupt.hh"
 #include "util/logging.hh"
 
@@ -26,21 +27,6 @@ fmtDouble(double v)
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.17g", v);
     return buf;
-}
-
-void
-atomicWrite(const std::string &path, const std::string &contents)
-{
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream f(tmp);
-        if (!f)
-            fatal("cannot write '%s'", tmp.c_str());
-        f << contents;
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        fatal("cannot publish '%s': %s", path.c_str(),
-              std::strerror(errno));
 }
 
 void
@@ -94,7 +80,8 @@ writeResultJson(const std::string &path, const CampaignJob &job,
        << ", \"auditFindings\": " << r.auditFindings << "},\n"
        << "  \"wallSeconds\": " << fmtDouble(job.wallSeconds) << "\n"
        << "}\n";
-    atomicWrite(path, os.str());
+    if (auto err = writeFileDurably(path, os.str()))
+        fatal("cannot publish '%s': %s", path.c_str(), err->c_str());
 }
 
 } // namespace
@@ -282,7 +269,8 @@ writeCampaignJson(const std::string &path, const CampaignSpec &spec,
            << ", \"wallSeconds\": " << fmtDouble(jobs[i].wallSeconds)
            << "}" << (i + 1 < jobs.size() ? "," : "") << "\n";
     os << "  ]\n}\n";
-    atomicWrite(path, os.str());
+    if (auto err = writeFileDurably(path, os.str()))
+        fatal("cannot publish '%s': %s", path.c_str(), err->c_str());
 }
 
 } // namespace looppoint

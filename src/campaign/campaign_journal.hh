@@ -10,8 +10,7 @@
  * consumed. A completed job is adopted without relaunching, which is
  * what makes campaign accounting exactly-once across restarts.
  *
- * On-disk format (line-oriented text, one ` crc=XXXXXXXX` trailer per
- * line covering everything before it):
+ * On disk it is a CrcLog (util/crc_log.hh):
  *
  *   looppoint-campaign-journal-v1 crc=...
  *   key fp=<campaign fingerprint> crc=...
@@ -22,12 +21,12 @@
  * code (-1 for signal deaths and non-exit events), `sig` the
  * terminating signal (0 when none).
  *
- * Appends rewrite the whole file to `<path>.tmp` and rename it over
- * the journal (atomic); a torn or corrupted *tail* in an existing
- * journal is tolerated — invalid trailing records are dropped and
- * counted, valid prefix records are kept. Append failures are counted
- * and swallowed: the journal is a recovery aid, never worth failing
- * the campaign for.
+ * Each append is one O_APPEND line plus fdatasync; whole-file rewrites
+ * (the first write of a journal that was not loaded, or after a torn
+ * tail) are an fsync'd tmp + rename. A torn or corrupted *tail* is
+ * tolerated — invalid trailing records are dropped and counted, valid
+ * prefix records are kept. Append failures are counted and swallowed:
+ * the journal is a recovery aid, never worth failing the campaign for.
  */
 
 #ifndef LOOPPOINT_CAMPAIGN_CAMPAIGN_JOURNAL_HH
@@ -37,11 +36,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "util/crc_log.hh"
 #include "util/load_result.hh"
 
 namespace looppoint {
@@ -72,10 +71,13 @@ class CampaignJournal
      * is a Validation error. Torn or corrupt trailing records are
      * dropped, not errors — see droppedRecords().
      */
-    std::optional<LoadError> load(bool must_exist);
+    std::optional<LoadError> load(bool must_exist)
+    {
+        return log.load(must_exist);
+    }
 
-    /** Record a transition and persist atomically (tmp + rename). */
-    void append(const CampaignEvent &ev);
+    /** Record a transition and persist it (see file comment). */
+    void append(const CampaignEvent &ev) { log.append(ev); }
 
     /** What the journal knows about one job, replayed in order. */
     struct Ledger
@@ -91,23 +93,16 @@ class CampaignJournal
     /** Replay the event stream into per-job ledgers. */
     std::map<uint32_t, Ledger> ledgers() const;
 
-    const std::string &path() const { return filePath; }
+    const std::string &path() const { return log.path(); }
     /** Copy of the loaded + appended events, in order. */
-    std::vector<CampaignEvent> events() const;
+    std::vector<CampaignEvent> events() const { return log.records(); }
     /** Invalid tail records dropped by load(). */
-    size_t droppedRecords() const { return dropped; }
+    size_t droppedRecords() const { return log.droppedRecords(); }
     /** Appends that failed to persist (disk full, permissions). */
-    size_t failedWrites() const { return writeFailures; }
+    size_t failedWrites() const { return log.failedWrites(); }
 
   private:
-    bool rewriteLocked();
-
-    std::string filePath;
-    std::string fingerprint;
-    std::vector<CampaignEvent> records;
-    size_t dropped = 0;
-    size_t writeFailures = 0;
-    mutable std::mutex mu;
+    CrcLog<CampaignEvent> log;
 };
 
 /**

@@ -33,8 +33,8 @@
  * running child finishes, nothing new launches; the second kills the
  * child (SIGKILL), journals the kill, and flushes state; a third
  * falls through to default disposition. SIGHUP in daemon mode
- * requests a rescan. status.json is rewritten atomically on every
- * transition for `lp_report --campaign` to render live.
+ * requests a rescan. status.json is durably rewritten (best effort)
+ * on every transition for `lp_report --campaign` to render live.
  */
 
 #ifndef LOOPPOINT_CAMPAIGN_SUPERVISOR_HH
@@ -150,7 +150,7 @@ class CampaignSupervisor
                                uint32_t attempt);
     /** GC/park disk-pressure check before a launch. True = proceed. */
     bool diskPressureOk(CampaignJob &job);
-    /** Atomic rewrite of status.json. */
+    /** Best-effort durable rewrite of status.json. */
     void writeStatus(const std::vector<CampaignJob> &jobs,
                      const std::string &state);
 

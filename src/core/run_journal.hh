@@ -10,8 +10,7 @@
  * skip work without touching the warming pass's simulated trajectory,
  * a resumed run is bit-identical to an uninterrupted one.
  *
- * On-disk format (line-oriented text, one `crc=XXXXXXXX` trailer per
- * line covering everything before it):
+ * On disk it is a CrcLog (util/crc_log.hh):
  *
  *   looppoint-journal-v1 crc=...
  *   key app=... input=... threads=... waitpolicy=... seed=...
@@ -19,13 +18,12 @@
  *   region idx=... start=pc:count end=pc:count mult=... attempts=...
  *       cycles=... ... l3m=... crc=...           (one line per region)
  *
- * Appends rewrite the whole file to `<path>.tmp` and std::rename it
- * over the journal, so a crash mid-write can never produce a torn
- * journal — at worst the last record is lost and its region
- * re-simulates. A torn or corrupted *tail* in an existing journal
- * (e.g. from an append that raced a power cut on a non-atomic
- * filesystem) is tolerated: invalid trailing records are dropped and
- * counted, valid prefix records are kept.
+ * Each append is one O_APPEND line plus fdatasync, so a record is on
+ * disk, power loss included, when append() returns. A journal not
+ * load()ed (a run without --resume) replaces any older file on its
+ * first append, by an fsync'd tmp + rename. A torn last line is
+ * dropped and counted on load, the valid prefix kept, and the next
+ * append rewrites the file without it; its region re-simulates.
  */
 
 #ifndef LOOPPOINT_CORE_RUN_JOURNAL_HH
@@ -34,7 +32,6 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -42,6 +39,7 @@
 #include "profile/bbv.hh"
 #include "sim/config.hh"
 #include "sim/multicore.hh"
+#include "util/crc_log.hh"
 #include "util/load_result.hh"
 
 namespace looppoint {
@@ -108,7 +106,10 @@ class RunJournal
      * corrupt trailing records are dropped, not errors — see
      * droppedRecords().
      */
-    std::optional<LoadError> load(bool must_exist);
+    std::optional<LoadError> load(bool must_exist)
+    {
+        return log.load(must_exist);
+    }
 
     /**
      * The journaled metrics for a region, if the journal has a record
@@ -121,32 +122,24 @@ class RunJournal
                                double multiplier) const;
 
     /**
-     * Record a completed region and persist the journal atomically
-     * (temp file + rename). Thread-safe: region tasks append
-     * concurrently. Disk failures are swallowed after counting — a
-     * journal is an optimization, never worth failing the run for.
+     * Record a completed region and persist it (see file comment).
+     * Thread-safe: region tasks append concurrently. Disk failures are
+     * swallowed after counting — a journal is an optimization, never
+     * worth failing the run for.
      */
-    void append(const Record &rec);
+    void append(const Record &rec) { log.append(rec); }
 
-    const std::string &path() const { return filePath; }
-    size_t size() const;
+    const std::string &path() const { return log.path(); }
+    size_t size() const { return log.records().size(); }
     /** Copy of the current records (audit / reporting). */
-    std::vector<Record> snapshot() const;
+    std::vector<Record> snapshot() const { return log.records(); }
     /** Invalid tail records dropped by load(). */
-    size_t droppedRecords() const { return dropped; }
+    size_t droppedRecords() const { return log.droppedRecords(); }
     /** Appends that failed to persist (disk full, permissions). */
-    size_t failedWrites() const { return writeFailures; }
+    size_t failedWrites() const { return log.failedWrites(); }
 
   private:
-    /** Serialize header + key + records to disk. Caller holds mu. */
-    bool rewriteLocked();
-
-    std::string filePath;
-    RunKey key;
-    std::vector<Record> records;
-    size_t dropped = 0;
-    size_t writeFailures = 0;
-    mutable std::mutex mu;
+    CrcLog<Record> log;
 };
 
 /**

@@ -17,7 +17,7 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "pinball/pinball_io.hh"
-#include "util/checksum.hh"
+#include "util/durable_file.hh"
 #include "util/logging.hh"
 #include "util/sha1.hh"
 
@@ -37,35 +37,20 @@ makeDir(const std::string &path)
               path.c_str(), std::strerror(errno));
 }
 
-/** `entry stage=<s> key=<k> hash=<h> bytes=<n>` (all space-free). */
+} // namespace
+
 std::optional<ArtifactStore::Entry>
 parseManifestEntry(const std::string &payload)
 {
+    // Parse loosely, then accept only what re-encodes byte for byte.
     std::istringstream is(payload);
-    std::string tag, stage, key, hash, bytes;
-    if (!(is >> tag >> stage >> key >> hash >> bytes))
-        return std::nullopt;
-    std::string extra;
-    if (is >> extra)
-        return std::nullopt;
-    auto strip = [](std::string &s, const char *prefix) {
-        const size_t n = std::strlen(prefix);
-        if (s.rfind(prefix, 0) != 0)
-            return false;
-        s.erase(0, n);
-        return true;
-    };
-    if (tag != "entry" || !strip(stage, "stage=") ||
-        !strip(key, "key=") || !strip(hash, "hash=") ||
-        !strip(bytes, "bytes="))
-        return std::nullopt;
-    ArtifactStore::Entry e;
-    e.stage = std::move(stage);
-    e.key = std::move(key);
-    e.hash = std::move(hash);
-    if (std::sscanf(bytes.c_str(), "%" SCNu64, &e.bytes) != 1)
-        return std::nullopt;
-    if (e.hash.size() != 40)
+    std::string tag, field[4];
+    is >> tag >> field[0] >> field[1] >> field[2] >> field[3];
+    for (std::string &f : field)
+        f.erase(0, f.find('=') + 1);
+    ArtifactStore::Entry e{field[0], field[1], field[2], 0};
+    if (std::sscanf(field[3].c_str(), "%" SCNu64, &e.bytes) != 1 ||
+        e.hash.size() != 40 || encodeManifestEntry(e) != payload)
         return std::nullopt;
     return e;
 }
@@ -73,13 +58,9 @@ parseManifestEntry(const std::string &payload)
 std::string
 encodeManifestEntry(const ArtifactStore::Entry &e)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), " bytes=%" PRIu64, e.bytes);
-    return "entry stage=" + e.stage + " key=" + e.key +
-           " hash=" + e.hash + buf;
+    return "entry stage=" + e.stage + " key=" + e.key + " hash=" + e.hash +
+           " bytes=" + std::to_string(e.bytes);
 }
-
-} // namespace
 
 /** Exclusive advisory lock over the whole store for one operation. */
 struct ArtifactStore::LockGuard
@@ -101,7 +82,10 @@ struct ArtifactStore::LockGuard
     std::lock_guard<std::mutex> guard;
 };
 
-ArtifactStore::ArtifactStore(std::string dir) : rootDir(std::move(dir))
+ArtifactStore::ArtifactStore(std::string dir)
+    : rootDir(std::move(dir)),
+      manifestLog(rootDir + "/manifest", kManifestMagic, "", "",
+                  {encodeManifestEntry, parseManifestEntry})
 {
     if (rootDir.empty())
         fatal("artifact store: empty directory path");
@@ -121,12 +105,6 @@ ArtifactStore::~ArtifactStore()
 }
 
 std::string
-ArtifactStore::manifestPath() const
-{
-    return rootDir + "/manifest";
-}
-
-std::string
 ArtifactStore::objectPath(const std::string &hash) const
 {
     return rootDir + "/objects/" + hash;
@@ -136,49 +114,22 @@ void
 ArtifactStore::reloadManifestLocked()
 {
     manifest.clear();
-    std::ifstream is(manifestPath());
-    if (!is)
-        return; // fresh store
-    std::string line;
-    if (!std::getline(is, line))
-        return;
-    auto magic = checkCrcLine(line);
-    if (!magic || *magic != kManifestMagic) {
-        logError("artifact store: '%s' is not a store manifest; "
-                 "ignoring it", manifestPath().c_str());
-        return;
-    }
-    while (std::getline(is, line)) {
-        auto payload = checkCrcLine(line);
-        auto entry =
-            payload ? parseManifestEntry(*payload)
-                    : std::optional<Entry>();
-        if (!entry) {
-            // Torn tail (lost race with a power cut): later lines were
-            // written later; keep the valid prefix, drop the rest.
-            break;
-        }
-        auto key = std::make_pair(entry->stage, entry->key);
-        manifest[std::move(key)] = std::move(*entry);
-    }
+    if (auto err = manifestLog.load(/*must_exist=*/false))
+        logError("artifact store: %s; ignoring it",
+                 err->describe().c_str());
+    for (const Entry &e : manifestLog.records())
+        manifest[std::make_pair(e.stage, e.key)] = e;
 }
 
-bool
-ArtifactStore::rewriteManifestLocked()
+void
+ArtifactStore::compactManifestLocked()
 {
-    const std::string tmp = manifestPath() + ".tmp";
-    {
-        std::ofstream os(tmp, std::ios::trunc);
-        if (!os)
-            return false;
-        os << withCrcLine(kManifestMagic) << '\n';
-        for (const auto &[k, e] : manifest)
-            os << withCrcLine(encodeManifestEntry(e)) << '\n';
-        os.flush();
-        if (!os)
-            return false;
-    }
-    return std::rename(tmp.c_str(), manifestPath().c_str()) == 0;
+    std::vector<Entry> live;
+    for (const auto &[k, e] : manifest)
+        live.push_back(e);
+    if (auto err = manifestLog.rewrite(std::move(live)))
+        logError("artifact store: cannot rewrite manifest: %s",
+                 err->c_str());
 }
 
 void
@@ -226,13 +177,10 @@ ArtifactStore::lookup(const std::string &stage, const std::string &key)
         nCorrupt.fetch_add(1, std::memory_order_relaxed);
         MetricsRegistry::global().counter("store.corrupt").add();
         ::unlink(path.c_str());
-        for (auto e = manifest.begin(); e != manifest.end();) {
-            if (e->second.hash == hash)
-                e = manifest.erase(e);
-            else
-                ++e;
-        }
-        rewriteManifestLocked();
+        std::erase_if(manifest, [&](const auto &binding) {
+            return binding.second.hash == hash;
+        });
+        compactManifestLocked();
         countMiss(stage);
         span.arg("outcome", "corrupt");
     };
@@ -258,13 +206,9 @@ ArtifactStore::lookup(const std::string &stage, const std::string &key)
         return std::nullopt;
     }
 
-    // Touch the LRU clock: gc evicts oldest-mtime first.
-    struct timespec times[2];
-    times[0].tv_nsec = UTIME_NOW;
-    times[0].tv_sec = 0;
-    times[1].tv_nsec = UTIME_NOW;
-    times[1].tv_sec = 0;
-    ::utimensat(AT_FDCWD, path.c_str(), times, 0);
+    // Touch the LRU clock (null times = now): gc evicts oldest-mtime
+    // first.
+    ::utimensat(AT_FDCWD, path.c_str(), nullptr, 0);
 
     countHit(stage, payload.size());
     span.arg("outcome", "hit")
@@ -295,42 +239,17 @@ ArtifactStore::publish(const std::string &stage, const std::string &key,
     } else {
         // A failed publish is a cache miss, not a run failure: the
         // caller already holds the computed artifact, so an ENOSPC or
-        // short write here must never abort the run. Clean up the tmp
-        // file, count the failure, and return without binding the
-        // manifest — the next run recomputes and tries again.
-        char suffix[48];
-        std::snprintf(suffix, sizeof(suffix), ".tmp.%ld",
-                      static_cast<long>(::getpid()));
-        const std::string tmp = path + suffix;
-        uint64_t framed_bytes = 0;
-        bool wrote = false;
-        {
-            std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-            if (!os) {
-                logError("artifact store: cannot write '%s': %s "
-                         "(publish skipped)",
-                         tmp.c_str(), std::strerror(errno));
-            } else {
-                writeFramedArtifact(os, kObjectMagicBase,
-                                    kObjectVersion, payload);
-                os.flush();
-                if (!os) {
-                    logError("artifact store: short write to '%s' "
-                             "(publish skipped)", tmp.c_str());
-                } else {
-                    framed_bytes = static_cast<uint64_t>(os.tellp());
-                    wrote = true;
-                }
-            }
-        }
-        if (wrote && std::rename(tmp.c_str(), path.c_str()) != 0) {
-            logError("artifact store: cannot publish '%s': %s "
-                     "(publish skipped)",
-                     path.c_str(), std::strerror(errno));
-            wrote = false;
-        }
-        if (!wrote) {
-            ::unlink(tmp.c_str());
+        // short write here must never abort the run. Count the failure
+        // and return without binding the manifest — the next run
+        // recomputes and tries again. Objects skip the fsyncs: every
+        // lookup verifies them, so one lost to a power cut is a miss.
+        std::ostringstream framed;
+        writeFramedArtifact(framed, kObjectMagicBase, kObjectVersion,
+                            payload);
+        const std::string bytes = framed.str();
+        if (auto err = writeFileAtomically(path, bytes)) {
+            logError("artifact store: %s (publish skipped)",
+                     err->c_str());
             nFailedPublishes.fetch_add(1, std::memory_order_relaxed);
             MetricsRegistry::global()
                 .counter("store.publish_failed")
@@ -338,26 +257,22 @@ ArtifactStore::publish(const std::string &stage, const std::string &key,
             span.arg("outcome", "publish-failed");
             return hash;
         }
-        nBytesStored.fetch_add(framed_bytes,
-                               std::memory_order_relaxed);
+        nBytesStored.fetch_add(bytes.size(), std::memory_order_relaxed);
         MetricsRegistry::global()
             .counter("store.bytes_stored")
-            .add(framed_bytes);
+            .add(bytes.size());
     }
 
-    Entry e;
-    e.stage = stage;
-    e.key = key;
-    e.hash = hash;
-    e.bytes = payload.size();
+    const Entry e{stage, key, hash, payload.size()};
     auto map_key = std::make_pair(stage, key);
     auto it = manifest.find(map_key);
     if (it == manifest.end() || it->second.hash != hash ||
         it->second.bytes != e.bytes) {
-        manifest[std::move(map_key)] = std::move(e);
-        if (!rewriteManifestLocked())
-            logError("artifact store: cannot rewrite manifest '%s'",
-                     manifestPath().c_str());
+        manifest[std::move(map_key)] = e;
+        if (auto err = manifestLog.append(e))
+            logError("artifact store: cannot bind '%s' in the "
+                     "manifest: %s",
+                     stage.c_str(), err->c_str());
     }
 
     nPublishes.fetch_add(1, std::memory_order_relaxed);
@@ -424,14 +339,11 @@ ArtifactStore::gc(uint64_t max_bytes, bool dry_run)
         }
         ::closedir(d);
     }
-    for (auto &o : objects) {
-        for (const auto &[k, e] : manifest) {
-            if (e.hash == o.hash) {
-                o.referenced = true;
-                break;
-            }
-        }
-    }
+    for (auto &o : objects)
+        o.referenced = std::any_of(
+            manifest.begin(), manifest.end(), [&](const auto &binding) {
+                return binding.second.hash == o.hash;
+            });
 
     // LRU: evict oldest first; unreferenced objects go before
     // referenced ones of the same age.
@@ -449,40 +361,28 @@ ArtifactStore::gc(uint64_t max_bytes, bool dry_run)
         total += o.bytes;
 
     GcResult res;
-    bool manifest_dirty = false;
     for (const auto &o : objects) {
         if (total <= max_bytes && o.referenced) {
             ++res.keptObjects;
             res.keptBytes += o.bytes;
             continue;
         }
-        if (total > max_bytes || !o.referenced) {
-            ++res.removedObjects;
-            res.removedBytes += o.bytes;
-            total -= o.bytes;
-            if (!dry_run) {
-                ::unlink((obj_dir + "/" + o.hash).c_str());
-                for (auto e = manifest.begin(); e != manifest.end();) {
-                    if (e->second.hash == o.hash) {
-                        e = manifest.erase(e);
-                        ++res.droppedEntries;
-                        manifest_dirty = true;
-                    } else {
-                        ++e;
-                    }
-                }
-            } else {
-                for (const auto &[k, e] : manifest)
-                    if (e.hash == o.hash)
-                        ++res.droppedEntries;
-            }
+        ++res.removedObjects;
+        res.removedBytes += o.bytes;
+        total -= o.bytes;
+        auto bound = [&](const auto &binding) {
+            return binding.second.hash == o.hash;
+        };
+        if (dry_run) {
+            res.droppedEntries +=
+                std::count_if(manifest.begin(), manifest.end(), bound);
         } else {
-            ++res.keptObjects;
-            res.keptBytes += o.bytes;
+            ::unlink((obj_dir + "/" + o.hash).c_str());
+            res.droppedEntries += std::erase_if(manifest, bound);
         }
     }
-    if (manifest_dirty)
-        rewriteManifestLocked();
+    if (!dry_run && res.droppedEntries)
+        compactManifestLocked();
     return res;
 }
 

@@ -12,18 +12,23 @@
  *                         the pinball_io magic/version/length/CRC32
  *                         envelope so every load is integrity-checked
  *
- * The manifest is line-oriented and human-readable, with the
- * journal's ` crc=XXXXXXXX` trailer per line:
+ * The manifest is a CrcLog (util/crc_log.hh) without a key line:
  *
  *   looppoint-store-v1 crc=...
  *   entry stage=<stage> key=<key-text> hash=<sha1> bytes=<n> crc=...
  *
+ * A new binding appends one `entry` line (O_APPEND + fdatasync);
+ * replay keeps the last binding per (stage, key). Evictions (lookup's
+ * corrupt objects, gc) compact it by an fsync'd tmp + rename.
+ *
  * Concurrency contract: every mutation (publish, gc) and every lookup
  * holds an exclusive flock on `.lock` and reloads the manifest first,
  * so pool threads, parallel campaigns, and concurrent processes share
- * one store without torn state. Publication is atomic (tmp + rename)
- * for both objects and the manifest; a crash mid-publish leaves at
- * worst an orphaned object that the next gc collects.
+ * one store without torn state. Objects are published by tmp + rename
+ * (writeFileAtomically, no fsync) before their binding is appended, so
+ * a crash mid-publish leaves at worst an orphaned object or tmp file
+ * that the next gc collects; after a power cut, an object left empty
+ * or torn fails its check on lookup and is evicted (below).
  *
  * A corrupt object (truncated, bit-flipped, wrong length) is treated
  * as data, not a fatal error: the lookup counts it, unlinks it, drops
@@ -42,6 +47,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "util/crc_log.hh"
 
 namespace looppoint {
 
@@ -160,13 +167,13 @@ class ArtifactStore
   private:
     struct LockGuard;
 
-    std::string manifestPath() const;
     std::string objectPath(const std::string &hash) const;
 
     /** Re-read the manifest from disk. Caller holds the flock. */
     void reloadManifestLocked();
-    /** Atomically rewrite the manifest. Caller holds the flock. */
-    bool rewriteManifestLocked();
+    /** Rewrite the manifest as the current bindings (after an
+     * eviction). Caller holds the flock. */
+    void compactManifestLocked();
 
     void countHit(const std::string &stage, uint64_t payload_bytes);
     void countMiss(const std::string &stage);
@@ -175,13 +182,23 @@ class ArtifactStore
     int lockFd = -1;
     /** In-process serialization; the flock serializes processes. */
     std::mutex mu;
-    /** (stage, key) -> entry, rebuilt from disk under the lock. */
+    /** Every manifest line, in order. */
+    CrcLog<Entry> manifestLog;
+    /** (stage, key) -> last binding, rebuilt from disk under the lock. */
     std::map<std::pair<std::string, std::string>, Entry> manifest;
 
     std::atomic<uint64_t> nHits{0}, nMisses{0}, nPublishes{0},
         nCorrupt{0}, nFailedPublishes{0}, nBytesStored{0},
         nBytesDeduped{0}, nBytesRead{0};
 };
+
+/** One manifest line payload: `entry stage=<s> key=<k> hash=<h>
+ * bytes=<n>` (every field space-free). */
+std::string encodeManifestEntry(const ArtifactStore::Entry &e);
+
+/** Parse a line written by encodeManifestEntry; nullopt rejects it. */
+std::optional<ArtifactStore::Entry>
+parseManifestEntry(const std::string &payload);
 
 } // namespace looppoint
 

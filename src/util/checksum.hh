@@ -1,7 +1,7 @@
 /**
  * @file
  * CRC32 payload checksums for serialized artifacts (pinballs, region
- * pinballs, run-journal records). The polynomial is the standard
+ * pinballs, CrcLog lines). The polynomial is the standard
  * reflected IEEE 802.3 one (0xEDB88320), so values match zlib's
  * crc32() and `python3 -c "import zlib; print(zlib.crc32(b'...'))"` —
  * artifacts stay verifiable with stock tools.
@@ -38,9 +38,8 @@ std::string crcHex(uint32_t crc);
 bool parseCrcHex(std::string_view text, uint32_t &out);
 
 /**
- * Line-trailer convention shared by the run journal and the artifact
- * store manifest: every line ends in ` crc=XXXXXXXX` covering the
- * bytes before it.
+ * Line-trailer convention of CrcLog (util/crc_log.hh): every line
+ * ends in ` crc=XXXXXXXX` covering the bytes before it.
  */
 std::string withCrcLine(const std::string &line);
 

@@ -16,6 +16,8 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/looppoint.hh"
 #include "core/run_journal.hh"
@@ -250,6 +252,87 @@ TEST(Journal, AppendAfterLoadPreservesPriorRecords)
     RunJournal j3(path, makeKey());
     ASSERT_FALSE(j3.load(/*must_exist=*/true).has_value());
     EXPECT_EQ(j3.size(), 2u);
+}
+
+TEST(Journal, FreshJournalReplacesStaleFile)
+{
+    // A run without --resume constructs its journal without load():
+    // its first append must replace whatever is on disk (here a
+    // journal of another run), not append behind a foreign key line.
+    const std::string path = journalPath("stale");
+    RunKey stale_key = makeKey();
+    stale_key.seed = 99;
+    {
+        RunJournal stale(path, stale_key);
+        stale.append(makeRecord(0));
+        stale.append(makeRecord(1));
+    }
+    {
+        RunJournal fresh(path, makeKey());
+        fresh.append(makeRecord(2));
+        EXPECT_EQ(fresh.failedWrites(), 0u);
+    }
+    RunJournal resumed(path, makeKey());
+    auto err = resumed.load(/*must_exist=*/true);
+    ASSERT_FALSE(err.has_value()) << err->describe();
+    EXPECT_EQ(resumed.droppedRecords(), 0u);
+    ASSERT_EQ(resumed.size(), 1u);
+    EXPECT_EQ(resumed.snapshot()[0], makeRecord(2));
+
+    RunJournal old(path, stale_key);
+    ASSERT_TRUE(old.load(/*must_exist=*/true).has_value());
+}
+
+TEST(Journal, AppendAfterFileVanishedRewritesWholeJournal)
+{
+    // An append that cannot open the file (here: deleted behind the
+    // journal's back) falls back to a full rewrite, so nothing held in
+    // memory is lost and no headerless file is created.
+    const std::string path = journalPath("vanished");
+    {
+        RunJournal j(path, makeKey());
+        j.append(makeRecord(0));
+    }
+    RunJournal j2(path, makeKey());
+    ASSERT_FALSE(j2.load(/*must_exist=*/true).has_value());
+    ASSERT_EQ(std::remove(path.c_str()), 0);
+    j2.append(makeRecord(1));
+    EXPECT_EQ(j2.failedWrites(), 0u);
+
+    RunJournal j3(path, makeKey());
+    ASSERT_FALSE(j3.load(/*must_exist=*/true).has_value());
+    EXPECT_EQ(j3.snapshot(),
+              (std::vector<RunJournal::Record>{makeRecord(0),
+                                               makeRecord(1)}));
+}
+
+TEST(Journal, ConcurrentAppendsAllPersist)
+{
+    // Region tasks append from pool threads; every record must land as
+    // one intact line.
+    const std::string path = journalPath("concurrent");
+    constexpr uint32_t kThreads = 4, kPerThread = 16;
+    {
+        RunJournal j(path, makeKey());
+        std::vector<std::thread> threads;
+        for (uint32_t t = 0; t < kThreads; ++t)
+            threads.emplace_back([&j, t] {
+                for (uint32_t i = 0; i < kPerThread; ++i)
+                    j.append(makeRecord(t * kPerThread + i));
+            });
+        for (auto &th : threads)
+            th.join();
+        EXPECT_EQ(j.failedWrites(), 0u);
+    }
+    RunJournal j2(path, makeKey());
+    ASSERT_FALSE(j2.load(/*must_exist=*/true).has_value());
+    EXPECT_EQ(j2.droppedRecords(), 0u);
+    ASSERT_EQ(j2.size(), kThreads * kPerThread);
+    for (uint32_t i = 0; i < kThreads * kPerThread; ++i) {
+        RunJournal::Record want = makeRecord(i);
+        EXPECT_TRUE(j2.find(i, want.start, want.end, want.multiplier))
+            << "record " << i;
+    }
 }
 
 // --------------------------------------- pipeline-level fault tests

@@ -263,6 +263,32 @@ TEST(ArtifactStore, GcCollectsOrphanObjectsAndTmpFiles)
               0);
 }
 
+TEST(ArtifactStore, AppendAfterAnotherInstanceCompacts)
+{
+    // B's gc compacts the manifest by replacing its file. A's next
+    // binding must land in the new file, where B (and any later
+    // reader) sees it, not in the inode B replaced.
+    std::string dir = freshStoreDir("compact_shared");
+    ArtifactStore a(dir);
+    ArtifactStore b(dir);
+    std::string h_old = a.publish("record", "old", "old-payload");
+    a.publish("record", "kept", "kept-payload");
+    struct utimbuf ancient{1000000, 1000000};
+    ASSERT_EQ(utime((dir + "/objects/" + h_old).c_str(), &ancient), 0);
+    struct stat st;
+    ASSERT_EQ(stat((dir + "/objects/" + sha1Hex("kept-payload")).c_str(),
+                   &st),
+              0);
+    EXPECT_EQ(b.gc(static_cast<uint64_t>(st.st_size)).droppedEntries, 1u);
+
+    std::string h_new = a.publish("record", "new", "new-payload");
+    EXPECT_EQ(b.hashFor("record", "new"), h_new);
+    EXPECT_FALSE(b.hashFor("record", "old"));
+    EXPECT_TRUE(b.hashFor("record", "kept"));
+    EXPECT_EQ(b.entries().size(), 2u);
+    EXPECT_EQ(ArtifactStore(dir).verify(), 0u);
+}
+
 // ----------------------------------------------- key partition tables
 
 LoopPointOptions
