@@ -12,8 +12,8 @@
 # With --ubsan the tier-1 suite is built and run under
 # UndefinedBehaviorSanitizer (-DLOOPPOINT_SANITIZE=undefined,
 # -fno-sanitize-recover so any finding is a hard failure) in
-# build-ubsan/, then the lint + race-check analyses are exercised
-# end-to-end on the demo workload.
+# build-ubsan/, then the lint passes and the race detector are
+# exercised end-to-end on the demo workload (lp_lint --passes=...).
 #
 # With --tidy the clang-tidy checks from .clang-tidy are run over
 # src/ and tools/ using the compile_commands.json of a fresh
@@ -49,8 +49,9 @@
 # With --analysis-smoke the analysis suite is exercised end to end:
 # the full pass set (lint + race + lockset/deadlock + audit) runs over
 # every bundled workload and must report zero warning/error findings,
-# then a store + journal fixture is deliberately corrupted and the
-# audit must flag exactly the injected defects.
+# an unknown pass name or a retired analysis flag must be a usage error
+# (exit 2), then a store + journal fixture is deliberately corrupted
+# and the audit must flag exactly the injected defects.
 #
 # With --faults the fault-tolerance layer is exercised under
 # AddressSanitizer (-DLOOPPOINT_SANITIZE=address in build-asan/): the
@@ -389,7 +390,9 @@ if [ "$1" = "--analysis-smoke" ]; then
     progs="$progs,spec-imagick-1,spec-nab-1,spec-nab-2"
     progs="$progs,spec-fotonik3d-1,spec-roms-1,spec-xz-1,spec-xz-2"
     out=$(mktemp /tmp/analysis_smoke.XXXXXX.txt)
-    build/tools/lp_lint -p "$progs" -n 8         --race-check --lock-check --audit | tee "$out" || {
+    passes=$(build/tools/lp_lint --list-passes | paste -sd, -)
+    build/tools/lp_lint -p "$progs" -n 8 --passes="$passes" | tee "$out"
+    [ "${PIPESTATUS[0]}" = 0 ] || {
         echo "analysis-smoke FAIL: lp_lint reported errors"
         exit 1
     }
@@ -398,9 +401,19 @@ if [ "$1" = "--analysis-smoke" ]; then
         exit 1
     fi
 
+    echo "== analysis smoke: bad analysis selectors are usage errors =="
+    for bad in --passes=nope --race-check; do
+        build/tools/run_looppoint -p demo-matrix-1 "$bad" > /dev/null 2>&1
+        rc=$?
+        [ $rc -eq 2 ] || {
+            echo "analysis-smoke FAIL: run_looppoint $bad exited $rc (want 2)"
+            exit 1
+        }
+    done
+
     echo "== analysis smoke: corrupted store and journal fixtures =="
     dir=$(mktemp -d /tmp/analysis_smoke.XXXXXX)
-    build/tools/run_looppoint -p demo-matrix-1 -n 4 --no-fullsim         --store="$dir/store" --journal="$dir/journal" --audit         > "$dir/clean.txt" || { echo "analysis-smoke FAIL: clean run"; exit 1; }
+    build/tools/run_looppoint -p demo-matrix-1 -n 4 --no-fullsim         --store="$dir/store" --journal="$dir/journal" --passes=audit         > "$dir/clean.txt" || { echo "analysis-smoke FAIL: clean run"; exit 1; }
     grep -q 'audit          : 0 finding(s)' "$dir/clean.txt" || {
         echo "analysis-smoke FAIL: clean run must have 0 audit findings"
         exit 1
@@ -446,9 +459,12 @@ if [ "$1" = "--ubsan" ]; then
         -DLOOPPOINT_WERROR=ON || exit 1
     cmake --build build-ubsan -j || exit 1
     ctest --test-dir build-ubsan --output-on-failure 2>&1 \
-        | tee ubsan_output.txt || exit 1
-    echo "== lint + race check under UBSan =="
-    build-ubsan/tools/lp_lint -p demo-matrix-1 --race-check || exit 1
+        | tee ubsan_output.txt
+    [ "${PIPESTATUS[0]}" = 0 ] || exit 1
+    echo "== lint passes + race detector under UBSan =="
+    passes=$(build-ubsan/tools/lp_lint --list-passes |
+        grep -vxE 'lockset|deadlock|audit' | paste -sd, -)
+    build-ubsan/tools/lp_lint -p demo-matrix-1 --passes="$passes" || exit 1
     echo "ubsan OK"
     exit 0
 fi

@@ -27,8 +27,8 @@
  *
  * Sub-checks run only when their inputs are present in the
  * AuditContext, so the same analysis serves lp_lint (program +
- * pinball only) and run_looppoint --audit (everything). All findings
- * use pass name "audit".
+ * pinball only) and run_looppoint --passes=audit (everything). All
+ * findings use pass name "audit".
  */
 
 #ifndef LOOPPOINT_ANALYSIS_ARTIFACT_AUDIT_HH

@@ -19,6 +19,16 @@ analysisNames()
     return names;
 }
 
+void
+requireAnalysisNames(const std::vector<std::string> &names)
+{
+    const std::vector<std::string> known = analysisNames();
+    for (const std::string &name : names)
+        if (std::find(known.begin(), known.end(), name) == known.end())
+            fatal("unknown pass '%s' (see lp_lint --list-passes)",
+                  name.c_str());
+}
+
 size_t
 runAnalyses(const AnalysisContext &ctx, DiagnosticSink &sink,
             const std::vector<std::string> &only)

@@ -1,11 +1,13 @@
 /**
  * @file
- * AnalysisRegistry: the one front door to every analysis in
+ * AnalysisRegistry: the one dispatcher of every analysis in
  * src/analysis/. It unifies the static lint passes (ProgramLint), the
  * dynamic replay checkers (race, lockset, deadlock), and the artifact
  * audit behind a single name-filtered entry point with a shared
- * DiagnosticSink, so lp_lint --passes=..., run_looppoint --audit, and
- * lp_campaign all speak the same pass vocabulary.
+ * DiagnosticSink. Every tool selects analyses by these names:
+ * lp_lint --passes=LIST calls runAnalyses() directly, while
+ * run_looppoint --passes=LIST and lp_campaign --audit reach it through
+ * analyzeExperiment() after the run. The pipeline runs no analysis.
  *
  * Determinism contract: analyses run sequentially in registry order
  * and each dynamic analysis replays single-threaded, so the finding
@@ -33,7 +35,8 @@ struct AnalysisContext
     LintContext lint;
     /** Driver quantum for the dynamic replay analyses. */
     uint64_t replayQuantum = 1000;
-    /** Per-pass cap on reported findings (--max-findings). */
+    /** Per-pass cap on reported race/lockset/deadlock findings
+     * (--max-findings). */
     size_t maxFindings = 32;
     /** Artifact-audit inputs; prog/dcfg/pinball default to lint's. */
     AuditContext audit;
@@ -44,6 +47,12 @@ struct AnalysisContext
  * "lockset", "deadlock", "audit".
  */
 std::vector<std::string> analysisNames();
+
+/**
+ * fatal() on the first of `names` that analysisNames() does not list;
+ * the tools call it while parsing, so a bad name is a usage error.
+ */
+void requireAnalysisNames(const std::vector<std::string> &names);
 
 /**
  * Run the (optionally name-filtered) analyses and append the findings

@@ -9,7 +9,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "analysis/experiment_audit.hh"
+#include "analysis/experiment_analysis.hh"
 #include "core/experiment.hh"
 #include "obs/json.hh"
 #include "util/checksum.hh"
@@ -218,7 +218,7 @@ runCampaignJob(CampaignJob &job, const std::string &job_dir,
         return 4;
     }
     if (spec.audit)
-        auditExperiment(cfg, r);
+        analyzeExperiment(cfg, r, {"audit"}, 0);
     job.wallSeconds = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - t0)
                           .count();

@@ -10,7 +10,6 @@
 #include <sys/prctl.h>
 #endif
 
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -38,25 +37,6 @@ secondsSince(clock_type::time_point t0)
 {
     return std::chrono::duration<double>(clock_type::now() - t0)
         .count();
-}
-
-/** Daemon rescan request (SIGHUP). */
-std::atomic<bool> rescanRequested{false};
-
-void
-onHup(int)
-{
-    rescanRequested.store(true, std::memory_order_relaxed);
-}
-
-void
-installHupHandler()
-{
-    struct sigaction sa = {};
-    sa.sa_handler = onHup;
-    sigemptyset(&sa.sa_mask);
-    sa.sa_flags = SA_RESTART;
-    sigaction(SIGHUP, &sa, nullptr);
 }
 
 uint64_t
@@ -522,7 +502,6 @@ CampaignSupervisor::writeStatus(const std::vector<CampaignJob> &jobs,
        << "  \"kind\": \"lp_campaign_status\",\n"
        << "  \"pid\": " << static_cast<long>(getpid()) << ",\n"
        << "  \"state\": " << jsonQuote(state) << ",\n"
-       << "  \"pass\": " << result.passes << ",\n"
        << "  \"jobsTotal\": " << jobs.size() << ",\n"
        << "  \"jobsDone\": " << done << ",\n"
        << "  \"jobsFailed\": " << failed << ",\n"
@@ -566,8 +545,6 @@ CampaignSupervisor::run()
     // process (tests run several) must not drain this one.
     clearShutdownRequest();
     installInterruptHandlers();
-    if (opts.daemonMode)
-        installHupHandler();
 
     CampaignJournal jnl(spec.outDir + "/campaign.journal",
                         campaignFingerprint(spec));
@@ -578,65 +555,25 @@ CampaignSupervisor::run()
         warn("campaign journal: dropped %zu torn trailing record(s)",
              jnl.droppedRecords());
 
-    std::vector<CampaignJob> jobs;
-    for (;;) {
-        ++result.passes;
-        result.parked = false;
-        jobs = expandCampaignMatrix(spec);
-        writeStatus(jobs, "running");
-        runPass(jobs, jnl);
+    std::vector<CampaignJob> jobs = expandCampaignMatrix(spec);
+    writeStatus(jobs, "running");
+    runPass(jobs, jnl);
 
-        result.exitCode = 0;
-        for (const auto &j : jobs)
-            if (j.status == "degraded" || j.status == "failed" ||
-                j.status == "parked")
-                result.exitCode = 1;
+    result.exitCode = 0;
+    for (const auto &j : jobs)
+        if (j.status == "degraded" || j.status == "failed" ||
+            j.status == "parked")
+            result.exitCode = 1;
 
-        writeCampaignJson(spec.outDir + "/campaign.json", spec, jobs);
-        const char *state = result.interrupted ? "interrupted"
-                            : result.parked    ? "parked"
-                            : opts.daemonMode  ? "idle"
-                                               : "done";
-        writeStatus(jobs, state);
-        if (!opts.daemonMode || result.interrupted)
-            break;
-        if (!idleWait(jobs)) {
-            result.interrupted = true;
-            writeStatus(jobs, "interrupted");
-            break;
-        }
-    }
+    writeCampaignJson(spec.outDir + "/campaign.json", spec, jobs);
+    writeStatus(jobs, result.interrupted ? "interrupted"
+                      : result.parked    ? "parked"
+                                         : "done");
 
-    result.jobs = jobs;
+    result.jobs = std::move(jobs);
     if (result.interrupted)
         result.exitCode = 4;
     return result;
-}
-
-bool
-CampaignSupervisor::idleWait(const std::vector<CampaignJob> &jobs)
-{
-    auto t0 = clock_type::now();
-    auto last_beat = t0;
-    for (;;) {
-        if (shutdownRequested())
-            return false;
-        if (rescanRequested.exchange(false,
-                                     std::memory_order_relaxed)) {
-            inform("campaign: SIGHUP received; rescanning matrix");
-            return true;
-        }
-        if (opts.rescanSeconds > 0.0 &&
-            secondsSince(t0) >= opts.rescanSeconds)
-            return true;
-        if (secondsSince(last_beat) >= 1.0) {
-            // Periodic heartbeat so watchers can tell "idle daemon"
-            // from "dead daemon".
-            writeStatus(jobs, "idle");
-            last_beat = clock_type::now();
-        }
-        shortNap();
-    }
 }
 
 } // namespace looppoint

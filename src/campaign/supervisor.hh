@@ -32,9 +32,9 @@
  * Signal contract (SIGINT/SIGTERM): the first request drains — the
  * running child finishes, nothing new launches; the second kills the
  * child (SIGKILL), journals the kill, and flushes state; a third
- * falls through to default disposition. SIGHUP in daemon mode
- * requests a rescan. status.json is durably rewritten (best effort)
- * on every transition for `lp_report --campaign` to render live.
+ * falls through to default disposition. status.json is durably
+ * rewritten (best effort) on every transition for
+ * `lp_report --campaign` to render live.
  */
 
 #ifndef LOOPPOINT_CAMPAIGN_SUPERVISOR_HH
@@ -74,10 +74,6 @@ struct SupervisorOptions
     /** gc() size target; the default only collects orphans, never
      * evicting live (manifest-bound) objects. */
     uint64_t gcTargetBytes = UINT64_MAX;
-    /** Keep running after a pass: rescan on SIGHUP or every
-     * `rescanSeconds`, rewriting status.json while idle. */
-    bool daemonMode = false;
-    double rescanSeconds = 0.0;
     /** Deterministic fault injection (job: clauses). */
     FaultPlan faults;
     /** Live surface path; default <outDir>/status.json. */
@@ -106,7 +102,6 @@ struct SupervisorResult
     bool interrupted = false;
     /** The disk floor parked the queue. */
     bool parked = false;
-    size_t passes = 0; ///< daemon rescan passes completed
 };
 
 /** See file comment. */
@@ -117,9 +112,7 @@ class CampaignSupervisor
 
     /**
      * Run the campaign to completion (or until interrupted/parked).
-     * In daemon mode, loops: pass, idle (status heartbeats), rescan
-     * on SIGHUP or interval, until a shutdown request. Writes
-     * campaign.json after every pass and status.json on every
+     * Writes campaign.json at the end and status.json on every
      * transition.
      */
     SupervisorResult run();
@@ -141,9 +134,6 @@ class CampaignSupervisor
      * whole vector is needed for status.json snapshots). */
     void superviseJob(std::vector<CampaignJob> &jobs, CampaignJob &job,
                       const std::string &job_dir, CampaignJournal &jnl);
-    /** Daemon idle: heartbeat status.json until SIGHUP, the rescan
-     * interval, or shutdown. False = shut down. */
-    bool idleWait(const std::vector<CampaignJob> &jobs);
     /** Fork, babysit (watchdog + shutdown), reap, classify. */
     ChildOutcome launchAttempt(CampaignJob &job,
                                const std::string &job_dir,

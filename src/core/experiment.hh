@@ -111,7 +111,7 @@ struct ExperimentResult
     size_t failedRegions = 0;
     /** Regions reused from the resume journal. */
     size_t journalHits = 0;
-    /** Warning/error findings of the artifact audit (--audit). */
+    /** Warning/error findings of the artifact audit (pass "audit"). */
     size_t auditFindings = 0;
 
     /** All region results came from the artifact store (no detailed

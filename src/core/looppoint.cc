@@ -3,11 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <optional>
 
-#include "analysis/lockset.hh"
-#include "analysis/program_lint.hh"
-#include "analysis/race_detector.hh"
 #include "core/region_exec.hh"
 #include "core/run_journal.hh"
 #include "obs/metrics.hh"
@@ -210,21 +206,11 @@ LoopPointPipeline::analyze()
     }
 
     // (2) Constrained replay #1: build the DCFG and identify the legal
-    // region markers (main-image loop headers). The DCFG is an
-    // intermediate of profiling, so a profile-stage hit skips this
-    // replay entirely — unless the lint pass needs the DCFG anyway.
-    std::optional<Dcfg> dcfg;
-    auto build_dcfg = [&] {
-        ScopedSpan span(tracer, "analyze.dcfg");
-        DcfgBuilder dcfg_builder(*prog, cfg.numThreads);
-        replayPinball(*prog, out.pinball, opts.flowQuantum,
-                      &dcfg_builder);
-        dcfg = dcfg_builder.build();
-    };
-
-    // (3) Constrained replay #2: collect per-slice, per-thread BBVs
-    // with spin/synchronization filtering. Keyed on the recording's
-    // content hash plus the fields this stage consumes.
+    // region markers (main-image loop headers). (3) Constrained replay
+    // #2: collect per-slice, per-thread BBVs with spin/synchronization
+    // filtering. The DCFG is an intermediate of profiling, so a
+    // profile-stage hit, keyed on the recording's content hash plus
+    // the fields this stage consumes, skips both replays.
     std::string profile_key;
     if (cache && !out.stageHashes.record.empty()) {
         profile_key =
@@ -236,8 +222,14 @@ LoopPointPipeline::analyze()
         }
     }
     if (!out.stageHashes.profileHit) {
-        build_dcfg();
-        std::vector<BlockId> markers = dcfg->mainImageLoopHeaders();
+        std::vector<BlockId> markers;
+        {
+            ScopedSpan span(tracer, "analyze.dcfg");
+            DcfgBuilder dcfg_builder(*prog, cfg.numThreads);
+            replayPinball(*prog, out.pinball, opts.flowQuantum,
+                          &dcfg_builder);
+            markers = dcfg_builder.build().mainImageLoopHeaders();
+        }
         if (markers.empty())
             fatal("program '%s' exposes no main-image loop headers to "
                   "mark regions", prog->name.c_str());
@@ -259,38 +251,6 @@ LoopPointPipeline::analyze()
                 cache->publishSlices(profile_key, out.slices);
     }
     LP_ASSERT(!out.slices.empty());
-
-    // (2b) Optional verification passes over the recorded execution.
-    // They only produce diagnostics; the pipeline output is
-    // unaffected. Lint wants the DCFG, which a profile hit skipped.
-    if (opts.analysis.lint || opts.analysis.raceCheck ||
-        opts.analysis.lockCheck) {
-        if (opts.analysis.lint && !dcfg)
-            build_dcfg();
-        ScopedSpan span(tracer, "analyze.verify");
-        DiagnosticSink sink;
-        const uint32_t cap = opts.analysis.maxFindings
-                                 ? opts.analysis.maxFindings
-                                 : RaceDetector::kMaxReports;
-        if (opts.analysis.lint) {
-            LintContext lint_ctx;
-            lint_ctx.prog = prog;
-            lint_ctx.dcfg = &*dcfg;
-            lint_ctx.pinball = &out.pinball;
-            lint_ctx.flowQuantum = opts.flowQuantum;
-            ProgramLint().run(lint_ctx, sink);
-        }
-        if (opts.analysis.raceCheck)
-            checkGuestRaces(*prog, out.pinball, sink,
-                            opts.flowQuantum, cap);
-        if (opts.analysis.lockCheck)
-            checkGuestLockDiscipline(*prog, out.pinball, sink,
-                                     opts.flowQuantum, cap);
-        out.diagnostics = sink.take();
-        sortDiagnosticsCanonical(out.diagnostics);
-        span.arg("diagnostics",
-                 static_cast<uint64_t>(out.diagnostics.size()));
-    }
 
     for (const auto &s : out.slices) {
         out.totalFilteredIcount += s.filteredIcount;

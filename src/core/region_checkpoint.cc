@@ -19,7 +19,7 @@ constexpr const char *kRegionMagicBase = "looppoint-region-pinball-v";
 constexpr int kRegionVersion = 2;
 
 std::optional<LoadError>
-parseRegionPayload(std::istream &is, int version, RegionPinball &rp)
+parseRegionPayload(std::istream &is, RegionPinball &rp)
 {
     std::string key, value;
     if (!(is >> key >> rp.app) || key != "app")
@@ -51,10 +51,8 @@ parseRegionPayload(std::istream &is, int version, RegionPinball &rp)
                          "unknown wait policy '" + value + "'"};
     if (!(is >> key >> rp.config.seed) || key != "seed")
         return streamError(is, "'seed' field");
-    if (version >= 2) {
-        if (auto err = loadSyncTids(is, rp.config.numThreads))
-            return err;
-    }
+    if (auto err = loadSyncTids(is, rp.config.numThreads))
+        return err;
     if (!(is >> key >> rp.start.pc >> rp.start.count) || key != "start")
         return streamError(is, "'start' marker");
     if (!(is >> key >> rp.end.pc >> rp.end.count) || key != "end")
@@ -124,10 +122,9 @@ RegionPinball::tryLoad(std::istream &is)
                                      kRegionVersion);
     if (!framed)
         return LoadResult<RegionPinball>::failure(framed.error());
-    const int version = framed.value().version;
-    std::istringstream payload(std::move(framed.value().payload));
+    std::istringstream payload(std::move(framed.value()));
     RegionPinball rp;
-    if (auto err = parseRegionPayload(payload, version, rp))
+    if (auto err = parseRegionPayload(payload, rp))
         return LoadResult<RegionPinball>::failure(std::move(*err));
     return LoadResult<RegionPinball>::success(std::move(rp));
 }

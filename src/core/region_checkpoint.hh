@@ -48,9 +48,9 @@ struct RegionPinball
     /** Versioned, CRC32-checksummed serialization (format v2). */
     void save(std::ostream &os) const;
     /**
-     * Parse a region pinball — current or legacy v1 format — with
-     * structured errors (truncation, bad checksum, unknown version,
-     * NaN/negative multipliers, hostile sync logs) instead of fatal().
+     * Parse a region pinball with structured errors (truncation, bad
+     * checksum, unknown version, NaN/negative multipliers, hostile
+     * sync logs) instead of fatal().
      */
     static LoadResult<RegionPinball> tryLoad(std::istream &is);
     /** tryLoad, with failures rethrown as FatalError (legacy API). */

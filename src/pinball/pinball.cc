@@ -178,7 +178,7 @@ constexpr int kPinballVersion = 2;
 constexpr uint64_t kMaxIcountEntries = kMaxArtifactThreads;
 
 std::optional<LoadError>
-parsePinballPayload(std::istream &is, int version, Pinball &pb)
+parsePinballPayload(std::istream &is, Pinball &pb)
 {
     std::string key, value;
     if (!(is >> key >> pb.programName) || key != "program")
@@ -196,10 +196,8 @@ parsePinballPayload(std::istream &is, int version, Pinball &pb)
                          "unknown wait policy '" + value + "'"};
     if (!(is >> key >> pb.config.seed) || key != "seed")
         return streamError(is, "'seed' field");
-    if (version >= 2) {
-        if (auto err = loadSyncTids(is, pb.config.numThreads))
-            return err;
-    }
+    if (auto err = loadSyncTids(is, pb.config.numThreads))
+        return err;
     if (auto err = loadOrderTable(is, "locks", pb.log.lockOrder))
         return err;
     if (auto err = loadOrderTable(is, "chunks", pb.log.chunkOrder))
@@ -269,10 +267,9 @@ Pinball::tryLoad(std::istream &is)
                                      kPinballVersion);
     if (!framed)
         return LoadResult<Pinball>::failure(framed.error());
-    const int version = framed.value().version;
-    std::istringstream payload(std::move(framed.value().payload));
+    std::istringstream payload(std::move(framed.value()));
     Pinball pb;
-    if (auto err = parsePinballPayload(payload, version, pb))
+    if (auto err = parsePinballPayload(payload, pb))
         return LoadResult<Pinball>::failure(std::move(*err));
     return LoadResult<Pinball>::success(std::move(pb));
 }

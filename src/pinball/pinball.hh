@@ -62,9 +62,9 @@ struct Pinball
      */
     void save(std::ostream &os) const;
     /**
-     * Parse a pinball saved with save() — current or legacy v1 format
-     * — returning a structured error (truncation, bad checksum,
-     * unknown version, hostile values) instead of calling fatal().
+     * Parse a pinball saved with save(), returning a structured error
+     * (truncation, bad checksum, unknown version, hostile values)
+     * instead of calling fatal().
      */
     static LoadResult<Pinball> tryLoad(std::istream &is);
     /** tryLoad, with failures rethrown as FatalError (legacy API). */

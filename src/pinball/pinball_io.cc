@@ -2,7 +2,6 @@
 
 #include <istream>
 #include <ostream>
-#include <sstream>
 
 #include "obs/metrics.hh"
 #include "util/checksum.hh"
@@ -14,7 +13,7 @@ void
 writeFramedArtifact(std::ostream &os, const std::string &magic_base,
                     int version, const std::string &payload)
 {
-    LP_ASSERT(version >= 2); // version 1 is the read-only legacy format
+    LP_ASSERT(version >= 2); // version 1 was the unframed format
     os << magic_base << version << '\n';
     os << "version " << version << '\n';
     os << "length " << payload.size() << '\n';
@@ -22,11 +21,11 @@ writeFramedArtifact(std::ostream &os, const std::string &magic_base,
     os << "checksum " << crcHex(crc32(payload)) << '\n';
 }
 
-LoadResult<FramedArtifact>
+LoadResult<std::string>
 readFramedArtifact(std::istream &is, const std::string &magic_base,
                    int current_version)
 {
-    using Result = LoadResult<FramedArtifact>;
+    using Result = LoadResult<std::string>;
 
     std::string magic;
     if (!std::getline(is, magic))
@@ -45,22 +44,11 @@ readFramedArtifact(std::istream &is, const std::string &magic_base,
                                "malformed version suffix in magic "
                                "line '" + magic + "'");
     const long magic_version = std::stol(suffix);
-    if (magic_version > current_version)
+    if (magic_version < 2 || magic_version > current_version)
         return Result::failure(
             LoadErrorKind::UnknownVersion,
-            "artifact version " + suffix + ", this build reads up to " +
+            "artifact version " + suffix + ", this build reads 2 to " +
                 std::to_string(current_version));
-
-    FramedArtifact out;
-    out.version = static_cast<int>(magic_version);
-
-    if (magic_version == 1) {
-        // Legacy format: the rest of the stream is the bare payload.
-        std::ostringstream rest;
-        rest << is.rdbuf();
-        out.payload = rest.str();
-        return Result::success(std::move(out));
-    }
 
     std::string key;
     long version_field = 0;
@@ -79,8 +67,8 @@ readFramedArtifact(std::istream &is, const std::string &magic_base,
         return Result::failure(LoadErrorKind::Parse,
                                "length line has trailing junk");
 
-    out.payload.resize(length);
-    is.read(out.payload.data(), static_cast<std::streamsize>(length));
+    std::string payload(length, '\0');
+    is.read(payload.data(), static_cast<std::streamsize>(length));
     if (static_cast<uint64_t>(is.gcount()) != length)
         return Result::failure(
             LoadErrorKind::Truncated,
@@ -94,7 +82,7 @@ readFramedArtifact(std::istream &is, const std::string &magic_base,
     if (!parseCrcHex(crc_text, stored))
         return Result::failure(LoadErrorKind::Parse,
                                "malformed checksum '" + crc_text + "'");
-    const uint32_t computed = crc32(out.payload);
+    const uint32_t computed = crc32(payload);
     if (computed != stored) {
         MetricsRegistry::global()
             .counter("artifact.checksum.fail")
@@ -105,7 +93,7 @@ readFramedArtifact(std::istream &is, const std::string &magic_base,
                 " does not match stored " + crcHex(stored));
     }
     MetricsRegistry::global().counter("artifact.checksum.ok").add();
-    return Result::success(std::move(out));
+    return Result::success(std::move(payload));
 }
 
 void

@@ -5,7 +5,7 @@
  * version, payload length, CRC32 trailer — plus the order-table codec
  * both artifact types embed.
  *
- * Framing (version >= 2):
+ * Framing:
  *
  *   <magic-base><version>\n         e.g. looppoint-pinball-v2
  *   version <version>\n
@@ -13,10 +13,9 @@
  *   <payload>                       exactly `length` bytes
  *   checksum <crc32-hex>\n          CRC32 of the payload bytes
  *
- * Version 1 artifacts (the legacy format: magic line followed by the
- * bare payload, no length or checksum) still load: readFramedArtifact
- * recognizes the v1 magic and slurps the rest of the stream as the
- * payload, so pre-existing checkpoints and fixtures remain usable.
+ * Version 2 is the first framed version. The unframed version 1 (a
+ * bare payload with no length or checksum) is rejected as
+ * UnknownVersion: it would bypass the integrity check.
  */
 
 #ifndef LOOPPOINT_PINBALL_PINBALL_IO_HH
@@ -32,25 +31,18 @@
 
 namespace looppoint {
 
-/** A successfully de-framed artifact: its version and payload. */
-struct FramedArtifact
-{
-    int version = 0;
-    std::string payload;
-};
-
 /** Write the version/length/checksum framing around `payload`. */
 void writeFramedArtifact(std::ostream &os, const std::string &magic_base,
                          int version, const std::string &payload);
 
 /**
- * Read framing written by writeFramedArtifact (or a bare legacy v1
- * stream). `current_version` is the newest version this build parses;
- * newer artifacts report UnknownVersion.
+ * Read framing written by writeFramedArtifact and return the verified
+ * payload. `current_version` is the newest version this build parses;
+ * artifacts outside [2, current_version] report UnknownVersion.
  */
-LoadResult<FramedArtifact> readFramedArtifact(std::istream &is,
-                                              const std::string &magic_base,
-                                              int current_version);
+LoadResult<std::string> readFramedArtifact(std::istream &is,
+                                           const std::string &magic_base,
+                                           int current_version);
 
 /** Serialize one tid order table ("locks"/"chunks" sections). */
 void saveOrderTable(std::ostream &os, const char *tag,
@@ -66,8 +58,8 @@ std::optional<LoadError> loadOrderTable(
     std::vector<std::vector<uint32_t>> &out);
 
 /**
- * Serialize the participating-tid roster of the sync log (version >= 2
- * bodies): `synctids <n> 0 1 ... n-1`. Loaders require the roster to
+ * Serialize the participating-tid roster of the sync log:
+ * `synctids <n> 0 1 ... n-1`. Loaders require the roster to
  * be exactly [0, n) in order — duplicate or unsorted tids are how a
  * tampered sync log smuggles in threads the config never declared.
  */

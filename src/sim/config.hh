@@ -34,26 +34,6 @@ struct CacheConfig
 };
 
 /**
- * Which guest-program analyses run alongside the pipeline. All are
- * host-side verification passes: they never alter the recorded
- * execution or the simulated metrics, so (like ObsConfig) they are
- * deliberately excluded from the run-journal fingerprint.
- */
-struct AnalysisConfig
-{
-    /** Run the ProgramLint static verifier over program + DCFG. */
-    bool lint = false;
-    /** Replay with the happens-before race detector attached. */
-    bool raceCheck = false;
-    /** Replay with the lockset + lock-order deadlock pass attached. */
-    bool lockCheck = false;
-    /** Cross-check pipeline artifacts after the run (ArtifactAudit). */
-    bool audit = false;
-    /** Per-pass cap on emitted findings (0 = pass default). */
-    uint32_t maxFindings = 0;
-};
-
-/**
  * Observability switches (src/obs). Host-side only: they select what
  * telemetry is collected, never what is simulated, so results are
  * bit-identical on or off. Deliberately excluded from
@@ -116,9 +96,6 @@ struct SimConfig
      * those tests and for debugging.
      */
     bool referenceScheduler = false;
-
-    /** Optional guest-program verification passes. */
-    AnalysisConfig analysis;
 
     /** Telemetry switches (host-side; see ObsConfig). */
     ObsConfig obs;

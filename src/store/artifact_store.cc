@@ -198,7 +198,7 @@ ArtifactStore::lookup(const std::string &stage, const std::string &key)
         evict(framed.error().describe().c_str());
         return std::nullopt;
     }
-    std::string payload = std::move(framed.value().payload);
+    std::string payload = std::move(framed.value());
     if (sha1Hex(payload) != hash) {
         // The frame CRC passed but the content is not what the address
         // claims — a mis-filed or tampered object.
@@ -316,18 +316,30 @@ ArtifactStore::gc(uint64_t max_bytes, bool dry_run)
         time_t mtime = 0;
         bool referenced = false;
     };
+    GcResult res;
+    // Orphaned temp files of crashed writers: a publish leaves them in
+    // objects/, a manifest rewrite in the store root.
+    auto sweep_tmp = [&](const std::string &dir, const std::string &name) {
+        if (name.find(".tmp.") == std::string::npos)
+            return false;
+        ++res.removedTmpFiles;
+        if (!dry_run)
+            ::unlink((dir + "/" + name).c_str());
+        return true;
+    };
+    if (DIR *d = ::opendir(rootDir.c_str())) {
+        while (struct dirent *ent = ::readdir(d))
+            sweep_tmp(rootDir, ent->d_name);
+        ::closedir(d);
+    }
+
     std::vector<Object> objects;
     const std::string obj_dir = rootDir + "/objects";
     if (DIR *d = ::opendir(obj_dir.c_str())) {
         while (struct dirent *ent = ::readdir(d)) {
             std::string name = ent->d_name;
-            if (name == "." || name == "..")
+            if (name == "." || name == ".." || sweep_tmp(obj_dir, name))
                 continue;
-            if (name.find(".tmp.") != std::string::npos) {
-                // Orphaned temp file from a crashed publish.
-                ::unlink((obj_dir + "/" + name).c_str());
-                continue;
-            }
             struct stat st{};
             if (::stat((obj_dir + "/" + name).c_str(), &st) != 0)
                 continue;
@@ -360,7 +372,6 @@ ArtifactStore::gc(uint64_t max_bytes, bool dry_run)
     for (const auto &o : objects)
         total += o.bytes;
 
-    GcResult res;
     for (const auto &o : objects) {
         if (total <= max_bytes && o.referenced) {
             ++res.keptObjects;
@@ -400,7 +411,7 @@ ArtifactStore::verify()
         }
         auto framed = readFramedArtifact(is, kObjectMagicBase,
                                          kObjectVersion);
-        if (!framed.ok() || sha1Hex(framed.value().payload) != e.hash)
+        if (!framed.ok() || sha1Hex(framed.value()) != e.hash)
             ++bad;
     }
     return bad;

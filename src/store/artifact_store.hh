@@ -144,13 +144,18 @@ class ArtifactStore
         /** Manifest bindings dropped because their object was
          * evicted (or already missing). */
         uint64_t droppedEntries = 0;
+        /** Crashed writers' temp files (`*.tmp.*` in the store root
+         * or objects/) removed. */
+        uint64_t removedTmpFiles = 0;
     };
 
     /**
      * Shrink the store to at most `max_bytes` of objects by evicting
      * least-recently-used (oldest mtime) objects first, dropping their
      * manifest bindings. Orphaned objects (no binding) are preferred
-     * eviction victims at equal age. With `dry_run`, only reports.
+     * eviction victims at equal age. Also removes the temp files of
+     * crashed writers: every write holds the store lock, so a temp
+     * file gc sees is always an orphan. With `dry_run`, only reports.
      */
     GcResult gc(uint64_t max_bytes, bool dry_run = false);
 

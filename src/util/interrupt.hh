@@ -43,7 +43,7 @@ bool shutdownRequested();
 /** Number of shutdown requests so far (signals + programmatic). */
 int shutdownSignalCount();
 
-/** Reset the request state (tests; between daemon passes). */
+/** Reset the request state (tests; between campaigns). */
 void clearShutdownRequest();
 
 } // namespace looppoint

@@ -17,11 +17,13 @@
 #include <sstream>
 
 #include "analysis/baseline.hh"
+#include "analysis/experiment_analysis.hh"
 #include "analysis/lockset.hh"
 #include "analysis/program_lint.hh"
 #include "analysis/race_detector.hh"
 #include "analysis/registry.hh"
 #include "analysis/sarif.hh"
+#include "core/experiment.hh"
 #include "core/looppoint.hh"
 #include "dcfg/dcfg.hh"
 #include "isa/addr_space.hh"
@@ -989,25 +991,96 @@ TEST(Baseline, LoaderRejectsJunk)
     EXPECT_TRUE(r3.value().count(0xffu));
 }
 
-TEST(Diagnostics, PipelineRunsAnalysesBehindConfigFlags)
+/** A small demo-matrix experiment (no full simulation). */
+ExperimentConfig
+demoExperiment()
 {
-    Program p = generateProgram(demoMatrixApp(), InputClass::Test);
-    LoopPointOptions opts;
-    opts.numThreads = 4;
-    opts.sliceSizePerThread = 25'000;
-    opts.analysis.lint = true;
-    opts.analysis.raceCheck = true;
-    LoopPointPipeline pipe(p, opts);
-    LoopPointResult lp = pipe.analyze();
-    EXPECT_FALSE(lp.diagnostics.empty());
-    EXPECT_EQ(countSeverity(lp.diagnostics, Severity::Error), 0u);
-    bool have_lint = false, have_race = false;
-    for (const auto &d : lp.diagnostics) {
+    ExperimentConfig cfg;
+    cfg.app = "demo-matrix";
+    cfg.input = InputClass::Test;
+    cfg.requestedThreads = 4;
+    cfg.loopPoint.sliceSizePerThread = 25'000;
+    cfg.simulateFull = false;
+    return cfg;
+}
+
+std::string
+diagnosticsText(const std::vector<Diagnostic> &diags)
+{
+    std::ostringstream os;
+    printDiagnosticsText(os, diags);
+    return os.str();
+}
+
+TEST(Diagnostics, AnalyzeExperimentRunsRequestedPasses)
+{
+    const ExperimentConfig cfg = demoExperiment();
+    const ExperimentResult plain = runExperiment(cfg);
+    EXPECT_TRUE(plain.analysis.diagnostics.empty());
+
+    ExperimentResult res = plain;
+    std::vector<std::string> passes = lintPassNames();
+    passes.push_back("race");
+    EXPECT_EQ(analyzeExperiment(cfg, res, passes, 0), 0u);
+    const auto &diags = res.analysis.diagnostics;
+    EXPECT_FALSE(diags.empty());
+    EXPECT_EQ(countSeverity(diags, Severity::Error), 0u);
+    bool have_lint = false, have_race = false, have_other = false;
+    for (const auto &d : diags) {
         have_lint |= d.pass == "marker-stability";
         have_race |= d.pass == "race";
+        have_other |= d.pass == "lockset" || d.pass == "deadlock" ||
+                      d.pass == "audit";
     }
     EXPECT_TRUE(have_lint);
     EXPECT_TRUE(have_race);
+    EXPECT_FALSE(have_other) << "only the requested passes run";
+    EXPECT_EQ(res.auditFindings, 0u);
+
+    // The analyses read the run; they never change a simulated number.
+    EXPECT_EQ(res.regionMetrics, plain.regionMetrics);
+    EXPECT_EQ(res.predicted.runtimeSeconds,
+              plain.predicted.runtimeSeconds);
+    EXPECT_EQ(res.predicted.cycles, plain.predicted.cycles);
+    EXPECT_EQ(res.predicted.instructions, plain.predicted.instructions);
+}
+
+TEST(Diagnostics, AnalyzeExperimentMatchesHandBuiltRegistryRun)
+{
+    const ExperimentConfig cfg = demoExperiment();
+    ExperimentResult res = runExperiment(cfg);
+    const std::vector<std::string> passes = analysisNames();
+
+    // The same context built by hand, the way lp_lint builds its own.
+    const AppDescriptor &app = findApp(cfg.app);
+    Program prog = generateProgram(app, cfg.input);
+    LoopPointOptions opts = cfg.loopPoint;
+    opts.numThreads = res.threads;
+    opts.waitPolicy = cfg.waitPolicy;
+    opts.jobs = cfg.jobs;
+    DcfgBuilder builder(prog, res.threads);
+    replayPinball(prog, res.analysis.pinball, opts.flowQuantum,
+                  &builder);
+    Dcfg dcfg = builder.build();
+    AnalysisContext ctx;
+    ctx.lint.prog = &prog;
+    ctx.lint.dcfg = &dcfg;
+    ctx.lint.pinball = &res.analysis.pinball;
+    ctx.lint.flowQuantum = opts.flowQuantum;
+    ctx.replayQuantum = opts.flowQuantum;
+    ctx.audit.result = &res.analysis;
+    ctx.audit.app = &app;
+    ctx.audit.input = cfg.input;
+    ctx.audit.opts = &opts;
+    ctx.audit.expectedThreads = res.threads;
+    DiagnosticSink sink;
+    const size_t hand_errors = runAnalyses(ctx, sink, passes);
+    const std::vector<Diagnostic> hand = sink.take();
+    ASSERT_FALSE(hand.empty());
+
+    EXPECT_EQ(analyzeExperiment(cfg, res, passes, 0), hand_errors);
+    EXPECT_EQ(diagnosticsText(res.analysis.diagnostics),
+              diagnosticsText(hand));
 }
 
 TEST(Diagnostics, PipelineSkipsAnalysesByDefault)

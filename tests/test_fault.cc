@@ -4,7 +4,7 @@
  * checksums, FaultPlan parsing and application, and — the bulk — the
  * integrity-checked artifact loaders: per-byte-class corruption,
  * truncated streams, hostile in-range-but-wrong payloads, the legacy
- * v1 fallback, and the exhaustive no-fatal guard (every single-byte
+ * v1 rejection, and the exhaustive no-fatal guard (every single-byte
  * flip and every truncation prefix of a valid artifact must come back
  * as a structured LoadError, never an exception).
  */
@@ -530,9 +530,9 @@ TEST(HostileInput, UnknownRegionInputClassIsParse)
     EXPECT_EQ(result.error().kind, LoadErrorKind::Parse);
 }
 
-// ------------------------------------------------- legacy v1 fallback
+// ------------------------------------------------ legacy v1 rejection
 
-/** A v1 artifact is the v1 magic line plus the bare payload — no
+/** A v1 artifact was the v1 magic line plus the bare payload — no
  * version/length lines, no checksum, no synctids roster. */
 std::string
 asLegacyV1(const std::string &magic_base, std::string payload)
@@ -544,24 +544,28 @@ asLegacyV1(const std::string &magic_base, std::string payload)
     return magic_base + "1\n" + payload;
 }
 
-TEST(LegacyFormat, PinballV1StillLoads)
+// The unframed v1 format carried no length or CRC32, so loading it
+// would bypass the integrity check: it is rejected, without fatal().
+TEST(LegacyFormat, PinballV1IsRejected)
 {
-    Pinball pb = makePinball();
     std::string v1 = asLegacyV1(kPinMagic,
-                                extractPayload(serialize(pb)));
-    auto result = loadPinball(v1);
-    ASSERT_TRUE(result.ok()) << result.error().describe();
-    EXPECT_EQ(result.value(), pb);
+                                extractPayload(serialize(makePinball())));
+    ASSERT_NO_THROW({
+        auto result = loadPinball(v1);
+        ASSERT_FALSE(result.ok());
+        EXPECT_EQ(result.error().kind, LoadErrorKind::UnknownVersion);
+    });
 }
 
-TEST(LegacyFormat, RegionPinballV1StillLoads)
+TEST(LegacyFormat, RegionPinballV1IsRejected)
 {
-    RegionPinball rp = makeRegionPinball();
-    std::string v1 = asLegacyV1(kRegionMagic,
-                                extractPayload(serialize(rp)));
-    auto result = loadRegion(v1);
-    ASSERT_TRUE(result.ok()) << result.error().describe();
-    EXPECT_EQ(result.value(), rp);
+    std::string v1 = asLegacyV1(
+        kRegionMagic, extractPayload(serialize(makeRegionPinball())));
+    ASSERT_NO_THROW({
+        auto result = loadRegion(v1);
+        ASSERT_FALSE(result.ok());
+        EXPECT_EQ(result.error().kind, LoadErrorKind::UnknownVersion);
+    });
 }
 
 // ------------------------------------------------ exhaustive no-fatal

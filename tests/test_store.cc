@@ -263,6 +263,34 @@ TEST(ArtifactStore, GcCollectsOrphanObjectsAndTmpFiles)
               0);
 }
 
+TEST(ArtifactStore, GcCollectsCrashedWriterTmpFiles)
+{
+    // A killed publish leaves objects/<hash>.tmp.<pid>; a killed
+    // manifest rewrite leaves manifest.tmp.<pid> in the store root.
+    std::string dir = freshStoreDir("gc_tmp");
+    ArtifactStore store(dir);
+    const std::string live = store.publish("record", "live", "payload");
+    const std::string root_tmp = dir + "/manifest.tmp.999";
+    const std::string obj_tmp = dir + "/objects/" + live + ".tmp.999";
+    std::ofstream(root_tmp) << "torn manifest";
+    std::ofstream(obj_tmp) << "torn object";
+    struct stat st;
+
+    auto dry = store.gc(UINT64_MAX, /*dry_run=*/true);
+    EXPECT_EQ(dry.removedTmpFiles, 2u);
+    EXPECT_EQ(stat(root_tmp.c_str(), &st), 0);
+    EXPECT_EQ(stat(obj_tmp.c_str(), &st), 0);
+
+    auto r = store.gc(UINT64_MAX);
+    EXPECT_EQ(r.removedTmpFiles, 2u);
+    EXPECT_EQ(r.removedObjects, 0u);
+    EXPECT_EQ(r.keptObjects, 1u);
+    EXPECT_NE(stat(root_tmp.c_str(), &st), 0);
+    EXPECT_NE(stat(obj_tmp.c_str(), &st), 0);
+    EXPECT_TRUE(store.lookup("record", "live"));
+    EXPECT_EQ(ArtifactStore(dir).verify(), 0u);
+}
+
 TEST(ArtifactStore, AppendAfterAnotherInstanceCompacts)
 {
     // B's gc compacts the manifest by replacing its file. A's next
@@ -351,10 +379,6 @@ TEST(StageKeys, UarchPartitionCoversEveryResultAffectingField)
          [](SimConfig &c) { c.referenceScheduler = true; }},
         {"obs.trace", [](SimConfig &c) { c.obs.trace = true; }},
         {"obs.metrics", [](SimConfig &c) { c.obs.metrics = true; }},
-        {"analysis.lint",
-         [](SimConfig &c) { c.analysis.lint = true; }},
-        {"analysis.raceCheck",
-         [](SimConfig &c) { c.analysis.raceCheck = true; }},
         {"regionRetries", [](SimConfig &c) { c.regionRetries = 3; }},
         {"watchdogFactor", [](SimConfig &c) { c.watchdogFactor = 8; }},
         {"faults",
@@ -451,8 +475,6 @@ TEST(StageKeys, InvalidationTable)
     {
         LoopPointOptions m = o;
         m.jobs = 32;
-        m.analysis.lint = true;
-        m.analysis.raceCheck = true;
         EXPECT_EQ(StageCache::recordKey("app.test", m), rec);
         EXPECT_EQ(StageCache::profileKey("HASH_R", m), prof);
         EXPECT_EQ(StageCache::clusterKey("HASH_P", m), clus);

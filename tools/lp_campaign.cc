@@ -4,7 +4,7 @@
  *
  * A thin CLI over src/campaign: the matrix spec and execution knobs
  * parse into a CampaignSpec, the supervision policy (retry budget,
- * watchdog, backoff, disk watermarks, daemon mode, fault injection)
+ * watchdog, backoff, disk watermarks, fault injection)
  * into SupervisorOptions, and CampaignSupervisor::run() does the rest.
  * Each job runs in a forked child for crash isolation; see
  * src/campaign/supervisor.hh for the full supervision model.
@@ -64,9 +64,10 @@ usage()
         "  --wait-policy=P    passive | active (default: passive)\n"
         "  --seed=N           analysis seed (default: 42)\n"
         "  --no-fullsim       skip per-job ground-truth simulation\n"
-        "  --audit            statically cross-check each job's\n"
-        "                     artifacts after it runs; finding counts\n"
-        "                     land in result.json\n"
+        "  --audit            after each job, run the registry's\n"
+        "                     audit pass (run_looppoint --passes=audit)\n"
+        "                     over its artifacts; finding counts land\n"
+        "                     in result.json\n"
         "supervision:\n"
         "  --job-retries=N    extra attempts per failed job\n"
         "                     (default: 2)\n"
@@ -88,11 +89,6 @@ usage()
         "  --gc-target=BYTES  GC size target (default: unlimited, so\n"
         "                     GC only collects orphaned objects and\n"
         "                     never evicts live results)\n"
-        "  --daemon           keep running after a pass: rescan the\n"
-        "                     matrix on SIGHUP or --rescan interval,\n"
-        "                     heartbeat status.json while idle\n"
-        "  --rescan=SEC       daemon rescan interval (default: SIGHUP\n"
-        "                     only)\n"
         "  --inject-fault=SPEC  deterministic job faults, e.g.\n"
         "                     job:index=2,kind=crash|wedge|\n"
         "                     corrupt-result[,times=M]; ';'-separated\n"
@@ -196,10 +192,6 @@ parseCli(int argc, char **argv)
             sup.gcFloorBytes = std::stoull(value);
         } else if (parseArg(argc, argv, i, "--gc-target", &value)) {
             sup.gcTargetBytes = std::stoull(value);
-        } else if (arg == "--daemon") {
-            sup.daemonMode = true;
-        } else if (parseArg(argc, argv, i, "--rescan", &value)) {
-            sup.rescanSeconds = std::stod(value);
         } else if (parseArg(argc, argv, i, "--inject-fault", &value)) {
             sup.faults = FaultPlan::parse(value);
         } else {

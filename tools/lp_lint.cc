@@ -1,14 +1,15 @@
 /**
  * @file
  * lp_lint: standalone guest-program verifier. Generates a workload
- * program, records a pinball, builds the DCFG, and runs the full
- * analysis registry against it — the ProgramLint passes, the dynamic
- * replay checkers (race, lockset, deadlock), and the artifact audit —
- * reporting through the shared diagnostic sink as text, JSON, or
- * SARIF 2.1.0, optionally filtered through a baseline file.
+ * program, records a pinball, builds the DCFG, and runs the analysis
+ * registry against it — the ProgramLint passes by default, or exactly
+ * the --passes named among those, the dynamic replay checkers (race,
+ * lockset, deadlock), and the artifact audit — reporting through the
+ * shared diagnostic sink as text, JSON, or SARIF 2.1.0, optionally
+ * filtered through a baseline file.
  *
  *   lp_lint -p demo-matrix-1 -n 8
- *   lp_lint -p npb-bt-1 --race-check --lock-check --json
+ *   lp_lint -p npb-bt-1 --passes=race,lockset,deadlock --json
  *   lp_lint --list-passes
  *   lp_lint -p spec-imagick-1 --passes=structure,streams,lockset
  *   lp_lint -p demo-matrix-1 --sarif=findings.sarif
@@ -20,7 +21,6 @@
  * errors, 3 on runtime failures.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -29,7 +29,6 @@
 
 #include "analysis/baseline.hh"
 #include "analysis/program_lint.hh"
-#include "analysis/race_detector.hh"
 #include "analysis/registry.hh"
 #include "analysis/sarif.hh"
 #include "core/run_journal.hh"
@@ -49,10 +48,6 @@ struct CliOptions
     std::string inputClass = "test";
     std::string waitPolicy = "passive";
     uint64_t quantum = 1000;
-    bool lint = true;
-    bool raceCheck = false;
-    bool lockCheck = false;
-    bool audit = false;
     bool json = false;
     uint32_t maxFindings = 0;
     std::string sarifPath;
@@ -62,7 +57,8 @@ struct CliOptions
     std::string journalPath;
     std::string baselinePath;
     std::string writeBaselinePath;
-    std::vector<std::string> passes;
+    /** Registry analyses to run (default: every lint pass). */
+    std::vector<std::string> passes = lintPassNames();
 };
 
 void
@@ -80,16 +76,8 @@ usage()
         "  -q, --quantum=N      flow-control quantum in instructions\n"
         "                       (default: 1000)\n"
         "      --passes=LIST    run exactly these analyses (see\n"
-        "                       --list-passes; overrides the toggles\n"
-        "                       below)\n"
-        "      --race-check     also replay with the happens-before\n"
-        "                       race detector\n"
-        "      --lock-check     also replay with the lockset and\n"
-        "                       lock-order deadlock detectors\n"
-        "      --audit          also cross-check the recording with\n"
-        "                       the artifact audit\n"
-        "      --no-lint        skip the lint passes (dynamic checks\n"
-        "                       only)\n"
+        "                       --list-passes; default: every lint\n"
+        "                       pass)\n"
         "      --max-findings=N cap each analysis pass at N reported\n"
         "                       findings (default: pass-specific, 32)\n"
         "      --json           print diagnostics as a JSON array\n"
@@ -196,14 +184,6 @@ parseCli(int argc, char **argv)
             opts.quantum = std::stoull(value);
         } else if (parseArg(argc, argv, i, "", "--passes", &value)) {
             opts.passes = splitCommas(value);
-        } else if (arg == "--race-check") {
-            opts.raceCheck = true;
-        } else if (arg == "--lock-check") {
-            opts.lockCheck = true;
-        } else if (arg == "--audit") {
-            opts.audit = true;
-        } else if (arg == "--no-lint") {
-            opts.lint = false;
         } else if (parseArg(argc, argv, i, "", "--max-findings",
                             &value)) {
             opts.maxFindings =
@@ -233,42 +213,11 @@ parseCli(int argc, char **argv)
         fatal("wait policy must be 'passive' or 'active'");
     if (opts.quantum == 0)
         fatal("quantum must be positive");
-    if (!opts.lint && !opts.raceCheck && !opts.lockCheck &&
-        !opts.audit && opts.passes.empty())
-        fatal("--no-lint with no dynamic check or --passes leaves "
-              "nothing to do");
     if (!opts.baselinePath.empty() &&
         !opts.writeBaselinePath.empty())
         fatal("--baseline and --write-baseline are exclusive");
-    {
-        const auto known = analysisNames();
-        for (const auto &p : opts.passes)
-            if (std::find(known.begin(), known.end(), p) ==
-                known.end())
-                fatal("unknown pass '%s' (see --list-passes)",
-                      p.c_str());
-    }
+    requireAnalysisNames(opts.passes);
     return opts;
-}
-
-/** The registry filter this invocation's toggles translate to. */
-std::vector<std::string>
-selectedPasses(const CliOptions &cli)
-{
-    if (!cli.passes.empty())
-        return cli.passes;
-    std::vector<std::string> out;
-    if (cli.lint)
-        out = lintPassNames();
-    if (cli.raceCheck)
-        out.push_back("race");
-    if (cli.lockCheck) {
-        out.push_back("lockset");
-        out.push_back("deadlock");
-    }
-    if (cli.audit)
-        out.push_back("audit");
-    return out;
 }
 
 int
@@ -313,7 +262,7 @@ checkOne(const std::string &program, const CliOptions &cli,
         ctx.audit.journalPath = cli.journalPath;
         ctx.audit.journalKey = &journal_key;
     }
-    return runAnalyses(ctx, sink, selectedPasses(cli)) > 0 ? 1 : 0;
+    return runAnalyses(ctx, sink, cli.passes) > 0 ? 1 : 0;
 }
 
 } // namespace

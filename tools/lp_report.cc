@@ -463,9 +463,9 @@ reportCampaignStatus(const Options &opt)
 
     std::printf("== supervisor (%s) ==\n",
                 doc->stringOr("state", "?").c_str());
-    std::printf("pid %.0f, pass %.0f: %.0f/%.0f job(s) done, %.0f "
-                "failed, %.0f pending\n",
-                doc->numberOr("pid", 0), doc->numberOr("pass", 0),
+    std::printf("pid %.0f: %.0f/%.0f job(s) done, %.0f failed, %.0f "
+                "pending\n",
+                doc->numberOr("pid", 0),
                 doc->numberOr("jobsDone", 0),
                 doc->numberOr("jobsTotal", 0),
                 doc->numberOr("jobsFailed", 0),

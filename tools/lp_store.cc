@@ -91,13 +91,15 @@ cmdGc(ArtifactStore &store, uint64_t max_bytes, bool dry_run)
 {
     auto r = store.gc(max_bytes, dry_run);
     std::printf("%s : removed %llu object(s) (%llu bytes), kept %llu "
-                "(%llu bytes), dropped %llu binding(s)\n",
+                "(%llu bytes), dropped %llu binding(s), removed %llu "
+                "tmp file(s)\n",
                 dry_run ? "gc(dry)" : "gc     ",
                 static_cast<unsigned long long>(r.removedObjects),
                 static_cast<unsigned long long>(r.removedBytes),
                 static_cast<unsigned long long>(r.keptObjects),
                 static_cast<unsigned long long>(r.keptBytes),
-                static_cast<unsigned long long>(r.droppedEntries));
+                static_cast<unsigned long long>(r.droppedEntries),
+                static_cast<unsigned long long>(r.removedTmpFiles));
     return 0;
 }
 

@@ -6,6 +6,7 @@
  *   run_looppoint -p <suite>-<application>-<input-num> [-n N]
  *                 [-i CLASS] [-w POLICY] [--native]
  *                 [--inorder] [--constrained] [--no-fullsim]
+ *                 [--passes=LIST]
  *
  * Programs are named like the artifact (demo-matrix-1,
  * spec-bwaves-1, spec-xz-2, npb-bt-1, ...); multiple programs may be
@@ -15,6 +16,7 @@
  * output, end to end.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -23,7 +25,8 @@
 #include <vector>
 
 #include "analysis/diagnostic.hh"
-#include "analysis/experiment_audit.hh"
+#include "analysis/experiment_analysis.hh"
+#include "analysis/registry.hh"
 #include "analysis/sarif.hh"
 #include "core/experiment.hh"
 #include "exec/driver.hh"
@@ -51,10 +54,9 @@ struct CliOptions
     bool inorder = false;
     bool constrained = false;
     bool fullSim = true;
-    bool lint = false;
-    bool raceCheck = false;
-    bool lockCheck = false;
-    bool audit = false;
+    /** Registry analyses to run after the pipeline (see
+     * analysisNames(); empty = none). */
+    std::vector<std::string> passes;
     /** Per-pass cap on reported findings (0 = pass default). */
     uint32_t maxFindings = 0;
     /** Write analysis findings as SARIF 2.1.0 to this path. */
@@ -91,18 +93,12 @@ usage()
         "      --inorder        simulate an in-order core\n"
         "      --constrained    constrained (replay-ordered) regions\n"
         "      --no-fullsim     skip the full-application simulation\n"
-        "      --lint           run the ProgramLint static verifier\n"
-        "                       over the program and its DCFG\n"
-        "      --race-check     replay with the happens-before race\n"
-        "                       detector attached\n"
-        "      --lock-check     replay with the lockset (Eraser-style)\n"
-        "                       and lock-order deadlock detectors\n"
-        "                       attached\n"
-        "      --audit          after the run, statically cross-check\n"
-        "                       the pipeline artifacts (markers vs.\n"
-        "                       DCFG, cluster-weight closure, journal\n"
-        "                       and store integrity) without\n"
-        "                       re-simulating\n"
+        "      --passes=LIST    after the run, run these analyses\n"
+        "                       over its recording and artifacts: the\n"
+        "                       lint passes, race, lockset, deadlock,\n"
+        "                       audit (lp_lint --list-passes prints\n"
+        "                       every name). Never changes a simulated\n"
+        "                       number\n"
         "      --max-findings=N cap each analysis pass at N reported\n"
         "                       findings (default: pass-specific, 32)\n"
         "      --sarif=PATH     also write the analysis findings as\n"
@@ -227,14 +223,8 @@ parseCli(int argc, char **argv)
             opts.constrained = true;
         } else if (arg == "--no-fullsim") {
             opts.fullSim = false;
-        } else if (arg == "--lint") {
-            opts.lint = true;
-        } else if (arg == "--race-check") {
-            opts.raceCheck = true;
-        } else if (arg == "--lock-check") {
-            opts.lockCheck = true;
-        } else if (arg == "--audit") {
-            opts.audit = true;
+        } else if (parseArg(argc, argv, i, "", "--passes", &value)) {
+            opts.passes = splitCommas(value);
         } else if (parseArg(argc, argv, i, "", "--max-findings",
                             &value)) {
             opts.maxFindings =
@@ -269,9 +259,10 @@ parseCli(int argc, char **argv)
     }
     if (opts.waitPolicy != "passive" && opts.waitPolicy != "active")
         fatal("wait policy must be 'passive' or 'active'");
-    // Validate the fault spec and uarch preset up front: a malformed
-    // one is a usage error (exit 2), not a runtime failure.
+    // Validate the fault spec, pass names and uarch preset up front:
+    // a malformed one is a usage error (exit 2), not a runtime failure.
     FaultPlan::parse(opts.faultSpec);
+    requireAnalysisNames(opts.passes);
     if (!opts.uarchPreset.empty()) {
         SimConfig scratch;
         applyUarchPreset(scratch, opts.uarchPreset);
@@ -331,11 +322,6 @@ runOne(const std::string &program, const CliOptions &cli)
         applyUarchPreset(cfg.sim, cli.uarchPreset);
     if (cli.inorder)
         cfg.sim.coreType = CoreType::InOrder;
-    cfg.sim.analysis.lint = cli.lint;
-    cfg.sim.analysis.raceCheck = cli.raceCheck;
-    cfg.sim.analysis.lockCheck = cli.lockCheck;
-    cfg.sim.analysis.audit = cli.audit;
-    cfg.sim.analysis.maxFindings = cli.maxFindings;
     cfg.sim.regionRetries = cli.regionRetries;
     cfg.sim.faults = FaultPlan::parse(cli.faultSpec);
     cfg.sim.obs.trace = !cli.tracePath.empty();
@@ -349,8 +335,8 @@ runOne(const std::string &program, const CliOptions &cli)
         cfg.loopPoint.sliceSizePerThread = 25'000;
 
     ExperimentResult r = runExperiment(cfg);
-    if (cli.audit)
-        auditExperiment(cfg, r);
+    if (!cli.passes.empty())
+        analyzeExperiment(cfg, r, cli.passes, cli.maxFindings);
 
     std::printf("profiling      : %zu slices, %llu filtered "
                 "instructions\n",
@@ -416,14 +402,14 @@ runOne(const std::string &program, const CliOptions &cli)
     if (!cli.sarifPath.empty())
         g_sarifDiags.insert(g_sarifDiags.end(), diags.begin(),
                             diags.end());
-    if (cli.lint || cli.raceCheck || cli.lockCheck || cli.audit ||
-        !diags.empty()) {
+    if (!cli.passes.empty() || !diags.empty()) {
         printDiagnosticsText(std::cout, diags);
         size_t errors = 0;
         for (const auto &d : diags)
             if (d.severity == Severity::Error)
                 ++errors;
-        if (cli.audit)
+        if (std::find(cli.passes.begin(), cli.passes.end(),
+                      "audit") != cli.passes.end())
             std::printf("audit          : %zu finding(s)\n",
                         r.auditFindings);
         std::printf("analysis       : %zu finding(s), %zu error(s)\n\n",
@@ -518,7 +504,7 @@ main(int argc, char **argv)
         // Graceful stop at a region boundary: the run journal already
         // holds every completed region, so the supervisor (or user)
         // can rerun with --resume for a bit-identical continuation.
-        // Flush obs outputs first — a parked daemon job should still
+        // Flush obs outputs first — a parked campaign job should still
         // leave its trace behind.
         warn("run_looppoint: %s", e.what());
         writeObsOutputs(cli);
