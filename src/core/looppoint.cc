@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <optional>
 
 #include "core/region_exec.hh"
 #include "core/run_journal.hh"
@@ -175,9 +176,13 @@ LoopPointPipeline::analyze()
     Tracer &tracer = Tracer::global();
 
     // (1) Record the whole program once as a pinball: the repeatable,
-    // up-front application analysis substrate. With a stage cache, a
+    // up-front application analysis substrate. The recording run also
+    // collects the DCFG: a replay of the pinball under the same flow
+    // quantum is the identical execution, so replaying only to collect
+    // it would repeat the recording's work. With a stage cache, a
     // prior run's pinball is reused when the recording key (workload,
     // threads, wait policy, seed, flow quantum) matches.
+    std::optional<DcfgBuilder> dcfg_builder;
     {
         ScopedSpan span(tracer, "analyze.record");
         std::string key;
@@ -196,7 +201,9 @@ LoopPointPipeline::analyze()
             }
         }
         if (!out.stageHashes.recordHit) {
-            out.pinball = recordPinball(*prog, cfg, opts.flowQuantum);
+            dcfg_builder.emplace(*prog, cfg.numThreads);
+            out.pinball = recordPinball(*prog, cfg, opts.flowQuantum,
+                                        &*dcfg_builder);
             if (cache)
                 out.stageHashes.record =
                     cache->publishPinball(key, out.pinball);
@@ -205,12 +212,14 @@ LoopPointPipeline::analyze()
             .arg("cached", out.stageHashes.recordHit);
     }
 
-    // (2) Constrained replay #1: build the DCFG and identify the legal
-    // region markers (main-image loop headers). (3) Constrained replay
-    // #2: collect per-slice, per-thread BBVs with spin/synchronization
-    // filtering. The DCFG is an intermediate of profiling, so a
-    // profile-stage hit, keyed on the recording's content hash plus
-    // the fields this stage consumes, skips both replays.
+    // (2) Analyze the DCFG and identify the legal region markers
+    // (main-image loop headers). Only a reused recording carries no
+    // DCFG; that case replays the pinball once to collect it, so every
+    // store state executes the program at most twice. (3) Constrained
+    // replay: collect per-slice, per-thread BBVs with spin/
+    // synchronization filtering. The DCFG is an intermediate of
+    // profiling, so a profile-stage hit, keyed on the recording's
+    // content hash plus the fields this stage consumes, skips both.
     std::string profile_key;
     if (cache && !out.stageHashes.record.empty()) {
         profile_key =
@@ -225,10 +234,14 @@ LoopPointPipeline::analyze()
         std::vector<BlockId> markers;
         {
             ScopedSpan span(tracer, "analyze.dcfg");
-            DcfgBuilder dcfg_builder(*prog, cfg.numThreads);
-            replayPinball(*prog, out.pinball, opts.flowQuantum,
-                          &dcfg_builder);
-            markers = dcfg_builder.build().mainImageLoopHeaders();
+            span.arg("replayed", !dcfg_builder.has_value());
+            if (!dcfg_builder) {
+                dcfg_builder.emplace(*prog, cfg.numThreads);
+                replayPinball(*prog, out.pinball, opts.flowQuantum,
+                              &*dcfg_builder);
+            }
+            markers = dcfg_builder->build().mainImageLoopHeaders();
+            dcfg_builder.reset();
         }
         if (markers.empty())
             fatal("program '%s' exposes no main-image loop headers to "

@@ -7,10 +7,28 @@
 namespace looppoint {
 
 DcfgBuilder::DcfgBuilder(const Program &prog_, uint32_t num_threads)
-    : prog(&prog_), lastBlock(num_threads, kInvalidBlock),
+    : prog(&prog_), routineOf(prog_.numBlocks()),
+      lastBlock(num_threads, kInvalidBlock),
       lastMainBlock(num_threads, kInvalidBlock),
+      edgeSuccs(prog_.numBlocks()), summarySuccs(prog_.numBlocks()),
       execCounts(prog_.numBlocks(), 0)
-{}
+{
+    LP_ASSERT(prog_.derivedReady());
+    for (BlockId b = 0; b < prog_.numBlocks(); ++b)
+        routineOf[b] = prog_.blocks[b].routine;
+}
+
+void
+DcfgBuilder::tally(std::vector<Successor> &succs, BlockId to)
+{
+    for (Successor &s : succs) {
+        if (s.to == to) {
+            ++s.count;
+            return;
+        }
+    }
+    succs.push_back({to, 1});
+}
 
 void
 DcfgBuilder::onBlock(uint32_t tid, BlockId block,
@@ -19,10 +37,8 @@ DcfgBuilder::onBlock(uint32_t tid, BlockId block,
     (void)engine;
     ++execCounts[block];
     BlockId prev = lastBlock[tid];
-    if (prev != kInvalidBlock) {
-        uint64_t key = (static_cast<uint64_t>(prev) << 32) | block;
-        ++edgeCounts[key];
-    }
+    if (prev != kInvalidBlock)
+        tally(edgeSuccs[prev], block);
     lastBlock[tid] = block;
 
     // Call-return summarization: two consecutively executed blocks of
@@ -30,41 +46,35 @@ DcfgBuilder::onBlock(uint32_t tid, BlockId block,
     // library code (lock stubs, chunk dispatch, barriers) ran in
     // between. Loop analysis runs on these edges, mirroring how the
     // Pin DCFG library collapses calls inside a routine's subgraph.
-    if (prog->inMainImage(block)) {
+    if (prog->mainImageFlags[block]) {
         BlockId prev_main = lastMainBlock[tid];
         if (prev_main != kInvalidBlock &&
-            prog->blocks[prev_main].routine ==
-                prog->blocks[block].routine) {
-            uint64_t key =
-                (static_cast<uint64_t>(prev_main) << 32) | block;
-            ++summaryCounts[key];
-        }
+            routineOf[prev_main] == routineOf[block])
+            tally(summarySuccs[prev_main], block);
         lastMainBlock[tid] = block;
     }
+}
+
+std::vector<DcfgEdge>
+DcfgBuilder::sortedEdges(const SuccessorLists &lists)
+{
+    std::vector<DcfgEdge> edges;
+    for (BlockId from = 0; from < lists.size(); ++from) {
+        const size_t first = edges.size();
+        for (const Successor &s : lists[from])
+            edges.push_back({from, s.to, s.count});
+        std::sort(edges.begin() + first, edges.end(),
+                  [](const DcfgEdge &a, const DcfgEdge &b) {
+                      return a.to < b.to;
+                  });
+    }
+    return edges;
 }
 
 Dcfg
 DcfgBuilder::build() const
 {
-    auto to_sorted = [](const std::unordered_map<uint64_t, uint64_t>
-                            &counts) {
-        std::vector<DcfgEdge> edges;
-        edges.reserve(counts.size());
-        for (const auto &[key, count] : counts) {
-            DcfgEdge e;
-            e.from = static_cast<BlockId>(key >> 32);
-            e.to = static_cast<BlockId>(key & 0xffffffffu);
-            e.count = count;
-            edges.push_back(e);
-        }
-        std::sort(edges.begin(), edges.end(),
-                  [](const DcfgEdge &a, const DcfgEdge &b) {
-                      return a.from != b.from ? a.from < b.from
-                                              : a.to < b.to;
-                  });
-        return edges;
-    };
-    return Dcfg(*prog, to_sorted(edgeCounts), to_sorted(summaryCounts),
+    return Dcfg(*prog, sortedEdges(edgeSuccs), sortedEdges(summarySuccs),
                 execCounts);
 }
 

@@ -3,11 +3,12 @@
  * Dynamic Control-Flow Graph (DCFG) construction and loop analysis,
  * reproducing the Pin DCFG library's role in LoopPoint (Section III-D).
  *
- * A DcfgBuilder observes a (replayed) execution and records every
- * per-thread block-to-block transition with a traversal count. The
- * resulting Dcfg partitions nodes by routine, computes immediate
- * dominators per routine subgraph, identifies natural loops from back
- * edges (an edge t->h where h dominates t), and exposes the set of
+ * A DcfgBuilder observes an execution (the recording run, or a replay
+ * of its pinball) and records every per-thread block-to-block
+ * transition with a traversal count. The resulting Dcfg partitions
+ * nodes by routine, computes immediate dominators per routine
+ * subgraph, identifies natural loops from back edges (an edge t->h
+ * where h dominates t), and exposes the set of
  * *main-image loop headers* — the only legal (PC, count) region
  * boundary markers, since synchronization loops (spin waits) live in
  * the library images and their iteration counts are not stable across
@@ -116,16 +117,37 @@ class DcfgBuilder : public ExecListener
     void onBlock(uint32_t tid, BlockId block,
                  const ExecutionEngine &engine) override;
 
-    /** Finish collection and build the analyzed graph. */
+    /**
+     * Finish collection and build the analyzed graph. Edges and
+     * summary edges are sorted by (from, to), one per pair.
+     */
     Dcfg build() const;
 
   private:
+    /** One successor of a source block and its traversal count. */
+    struct Successor
+    {
+        BlockId to = kInvalidBlock;
+        uint64_t count = 0;
+    };
+    /**
+     * Successor tallies indexed by the dense source BlockId, each in
+     * first-traversal order. Dynamic fan-out is small (most blocks
+     * have one successor), so a linear scan beats hashing the pair.
+     */
+    using SuccessorLists = std::vector<std::vector<Successor>>;
+
+    static void tally(std::vector<Successor> &succs, BlockId to);
+    static std::vector<DcfgEdge> sortedEdges(const SuccessorLists &lists);
+
     const Program *prog;
+    /** Routine of each block, indexed by BlockId. */
+    std::vector<uint32_t> routineOf;
     std::vector<BlockId> lastBlock;
     /** Last main-image block per thread (for summarized edges). */
     std::vector<BlockId> lastMainBlock;
-    std::unordered_map<uint64_t, uint64_t> edgeCounts;
-    std::unordered_map<uint64_t, uint64_t> summaryCounts;
+    SuccessorLists edgeSuccs;
+    SuccessorLists summarySuccs;
     std::vector<uint64_t> execCounts;
 };
 

@@ -17,11 +17,15 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hh"
+#include "core/looppoint.hh"
 #include "core/run_journal.hh"
+#include "obs/json.hh"
+#include "obs/trace.hh"
 #include "store/artifact_store.hh"
 #include "store/stage_cache.hh"
 #include "util/fingerprint.hh"
@@ -633,6 +637,88 @@ TEST(StorePipeline, CorruptProfileArtifactRecomputedBitIdentical)
     ExperimentResult healed = runExperiment(storeExpConfig(dir));
     EXPECT_TRUE(healed.analysis.stageHashes.profileHit);
     EXPECT_EQ(healed.storeStats.misses, 0u);
+}
+
+/**
+ * Program executions the traced analyze() calls made, drained from
+ * `tracer`: the recording unless it was served from the store, a DCFG
+ * replay when it was, and the profile replay.
+ */
+uint64_t
+drainAnalyzeExecutions(Tracer &tracer)
+{
+    std::ostringstream os;
+    tracer.writeChromeTrace(os);
+    std::string err;
+    auto doc = parseJson(os.str(), &err);
+    EXPECT_TRUE(doc.has_value()) << err;
+    const JsonValue *events = doc ? doc->find("traceEvents") : nullptr;
+    if (!events)
+        return 0;
+    uint64_t runs = 0;
+    for (const JsonValue &e : events->array) {
+        const std::string name = e.stringOr("name", "");
+        const JsonValue *args = e.find("args");
+        if (name == "analyze.record")
+            runs += !args || args->numberOr("cached", 0) == 0 ? 1 : 0;
+        else if (name == "analyze.dcfg")
+            runs += !args || args->numberOr("replayed", 1) != 0 ? 1 : 0;
+        else if (name == "analyze.profile")
+            ++runs;
+    }
+    return runs;
+}
+
+TEST(StorePipeline, AnalyzeExecutesProgramAtMostTwice)
+{
+    // The DCFG is collected on the recording run, so a cold analysis
+    // executes the program twice (record, profile replay). Only a
+    // reused recording whose profile must be recomputed replays for
+    // the DCFG, and that state skips the recording.
+    const std::string dir = freshStoreDir("pipeline_executions");
+    Program prog =
+        generateProgram(findApp("619.lbm_s.1"), InputClass::Test);
+    LoopPointOptions opts;
+    opts.numThreads = 4;
+    opts.sliceSizePerThread = 25'000;
+    auto analyze = [&] {
+        ArtifactStore store(dir);
+        StageCache cache(store);
+        LoopPointPipeline pipe(prog, opts);
+        pipe.setStageCache(&cache);
+        return pipe.analyze();
+    };
+    Tracer &tracer = Tracer::global();
+    tracer.clear();
+    tracer.setEnabled(true);
+
+    const LoopPointResult cold = analyze();
+    EXPECT_FALSE(cold.stageHashes.recordHit);
+    EXPECT_FALSE(cold.stageHashes.profileHit);
+    EXPECT_EQ(drainAnalyzeExecutions(tracer), 2u);
+
+    const LoopPointResult warm = analyze();
+    EXPECT_TRUE(warm.stageHashes.profileHit);
+    EXPECT_EQ(drainAnalyzeExecutions(tracer), 0u);
+
+    // Record hit, profile miss: replay for the DCFG, then profile.
+    std::remove((dir + "/objects/" + cold.stageHashes.profile).c_str());
+    const LoopPointResult profile_miss = analyze();
+    EXPECT_TRUE(profile_miss.stageHashes.recordHit);
+    EXPECT_FALSE(profile_miss.stageHashes.profileHit);
+    EXPECT_EQ(profile_miss.stageHashes.profile, cold.stageHashes.profile);
+    EXPECT_EQ(drainAnalyzeExecutions(tracer), 2u);
+
+    // Record miss, profile hit: the recording alone.
+    std::remove((dir + "/objects/" + cold.stageHashes.record).c_str());
+    const LoopPointResult record_miss = analyze();
+    EXPECT_FALSE(record_miss.stageHashes.recordHit);
+    EXPECT_TRUE(record_miss.stageHashes.profileHit);
+    EXPECT_EQ(drainAnalyzeExecutions(tracer), 1u);
+
+    tracer.setEnabled(false);
+    tracer.clear();
+    EXPECT_EQ(record_miss.assignment, cold.assignment);
 }
 
 TEST(StorePipeline, HostKnobsShareStoreEntries)
