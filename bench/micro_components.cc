@@ -125,6 +125,31 @@ BM_Kmeans(benchmark::State &state)
 }
 BENCHMARK(BM_Kmeans)->Arg(64)->Arg(256);
 
+/**
+ * The SimPoint model-selection sweep at an analysis's size: 1024
+ * slices projected to 100 dimensions, drawn around 20 centres, every k
+ * up to 16 then coarser steps to 50, serially.
+ */
+void
+BM_SimpointSweep(benchmark::State &state)
+{
+    Rng rng(17);
+    FeatureMatrix centers(20, std::vector<double>(100));
+    for (auto &c : centers)
+        for (auto &v : c)
+            v = rng.nextGaussian() * 3.0;
+    FeatureMatrix points;
+    for (size_t i = 0; i < 1024; ++i) {
+        std::vector<double> row = centers[rng.nextBounded(centers.size())];
+        for (auto &v : row)
+            v += rng.nextGaussian();
+        points.push_back(std::move(row));
+    }
+    for (auto _ : state)
+        benchmark::DoNotOptimize(simpointCluster(points, 50, 23));
+}
+BENCHMARK(BM_SimpointSweep)->Unit(benchmark::kMillisecond);
+
 void
 BM_RandomProjection(benchmark::State &state)
 {
